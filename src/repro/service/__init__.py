@@ -2,9 +2,11 @@
 
 The serving layer that exposes LANTERN to many clients at once:
 
-* :mod:`repro.service.server` — a stdlib ``ThreadingHTTPServer`` JSON API
+* :mod:`repro.service.server` — the narration service behind the JSON API
   (``POST /narrate``, ``GET /metrics`` — JSON or ``?format=prometheus`` —
   ``GET /trace``, ``GET /healthz``);
+* :mod:`repro.service.http` — the stdlib ``ThreadingHTTPServer`` front door
+  that serves that API for both the service and the fleet router;
 * :mod:`repro.service.batcher` — the micro-batching request queue that
   coalesces concurrent narrations into one fused neural decode per batch
   window, with bounded-queue admission control;

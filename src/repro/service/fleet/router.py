@@ -47,13 +47,10 @@ import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from dataclasses import dataclass
 from typing import Any, Optional
-from urllib.parse import parse_qs
 
 from repro.errors import FleetError, PlanDetectionError, PlanFormatError, ServiceError
-from repro.obs.prometheus import CONTENT_TYPE as PROMETHEUS_CONTENT_TYPE
 from repro.obs.prometheus import PrometheusWriter
 from repro.obs.tracing import NOOP_SPAN, Span, TraceStore, Tracer
 from repro.plans.registry import default_registry
@@ -64,7 +61,8 @@ from repro.service.fleet.ring import (
     plan_routing_signature,
 )
 from repro.service.fleet.worker import READY_PREFIX
-from repro.service.server import DEFAULT_HOST, MAX_BODY_BYTES, _HTTPError
+from repro.service.http import BadRequest, FrontDoor, HTTPError, PlanRejected, is_batch_wire
+from repro.service.server import DEFAULT_HOST
 from repro.service.telemetry import ServiceTelemetry
 
 __all__ = ["FleetConfig", "WorkerHandle", "LanternFleet", "DEFAULT_ROUTER_PORT"]
@@ -185,7 +183,14 @@ def _process_dead(process: subprocess.Popen) -> bool:
 
 
 class LanternFleet:
-    """Router + worker lifecycle + aggregation: the whole fleet, one object."""
+    """Router + worker lifecycle + aggregation: the whole fleet, one object.
+
+    The router's HTTP surface is the shared :mod:`repro.service.http` front
+    door serving this object as its app.
+    """
+
+    #: name of the ``POST /narrate`` root span
+    root_span_name = "POST /narrate (router)"
 
     def __init__(self, config: Optional[FleetConfig] = None) -> None:
         self.config = config or FleetConfig()
@@ -207,8 +212,7 @@ class LanternFleet:
         self._lifecycle_lock = threading.Lock()
         self._stop = threading.Event()
         self._heartbeat_thread: Optional[threading.Thread] = None
-        self._httpd: Optional[ThreadingHTTPServer] = None
-        self._http_thread: Optional[threading.Thread] = None
+        self._httpd: Optional[FrontDoor] = None
         self._executor = ThreadPoolExecutor(
             max_workers=max(4, 2 * self.config.num_workers),
             thread_name_prefix="fleet-fanout",
@@ -334,10 +338,7 @@ class LanternFleet:
         targets = list(worker_ids) if worker_ids else known
         unknown = [wid for wid in targets if wid not in known]
         if unknown:
-            raise _HTTPError(
-                400,
-                {"error": "bad_request", "message": f"unknown workers: {unknown}"},
-            )
+            raise BadRequest(f"unknown workers: {unknown}")
         restarted: list[str] = []
         with self._lifecycle_lock:
             for worker_id in targets:
@@ -439,17 +440,8 @@ class LanternFleet:
         """Ingest a wire plan and return its routing signature (400 on bad)."""
         try:
             tree = self.registry.parse(plan, plan_format)
-        except PlanDetectionError as error:
-            raise _HTTPError(
-                400,
-                {
-                    "error": "plan_format",
-                    "message": str(error),
-                    "attempted_formats": error.attempted_formats,
-                },
-            ) from error
-        except PlanFormatError as error:
-            raise _HTTPError(400, {"error": "plan_format", "message": str(error)}) from error
+        except (PlanDetectionError, PlanFormatError) as error:
+            raise PlanRejected(error) from error
         return plan_routing_signature(tree)
 
     def _forward(
@@ -497,18 +489,20 @@ class LanternFleet:
             return status, payload, worker_id
         return 503, {"error": "timeout", "message": "no live workers in the fleet"}, None
 
+    def narrate(self, body: Any, span: Span = NOOP_SPAN) -> tuple[int, dict[str, Any]]:
+        """The HTTP kernel's ``POST /narrate`` entry: single or batch wire."""
+        if is_batch_wire(body):
+            return self.narrate_batch_payload(body, span=span)
+        return self.narrate_payload(body, span=span)
+
     def narrate_payload(
         self, body: dict[str, Any], span: Span = NOOP_SPAN
     ) -> tuple[int, dict[str, Any]]:
         """Route one single-plan ``/narrate`` body; returns (status, body)."""
         if not isinstance(body, dict):
-            raise _HTTPError(
-                400, {"error": "bad_request", "message": "request body must be a JSON object"}
-            )
+            raise BadRequest("request body must be a JSON object")
         if "plan" not in body:
-            raise _HTTPError(
-                400, {"error": "bad_request", "message": "request body needs a 'plan' key"}
-            )
+            raise BadRequest("request body needs a 'plan' key")
         with span.child("route"):
             signature = self.signature_of(body["plan"], body.get("format"))
         status, payload, worker_id = self._forward(signature, body, span)
@@ -527,9 +521,7 @@ class LanternFleet:
         """
         plans = body.get("plans")
         if not isinstance(plans, list) or not plans:
-            raise _HTTPError(
-                400, {"error": "bad_request", "message": "'plans' must be a non-empty list"}
-            )
+            raise BadRequest("'plans' must be a non-empty list")
         shared = {
             key: body[key] for key in ("mode", "format", "presentation") if key in body
         }
@@ -539,7 +531,7 @@ class LanternFleet:
             for index, plan in enumerate(plans):
                 try:
                     pending.append((index, self.signature_of(plan, body.get("format"))))
-                except _HTTPError as error:
+                except HTTPError as error:
                     results[index] = {**error.body, "status": error.status}
         workers_used: Counter[str] = Counter()
         for round_ in range(2):
@@ -624,6 +616,31 @@ class LanternFleet:
                 "error": "timeout",
                 "message": f"worker {worker_id} did not answer: {error}",
             }
+
+    # ------------------------------------------------------------------
+    # admin surface
+    # ------------------------------------------------------------------
+
+    def extra_post(
+        self, path: str, body: Optional[Any]
+    ) -> Optional[tuple[int, dict[str, Any]]]:
+        """``POST /admin/restart``: ``{"workers": [...]}`` or ``{"worker":
+        id}`` restarts those workers, an empty body restarts them all."""
+        if path != "/admin/restart":
+            return None
+        body = body or {}
+        if not isinstance(body, dict):
+            raise BadRequest("request body must be a JSON object")
+        targets = body.get("workers")
+        if targets is None and body.get("worker"):
+            targets = [body["worker"]]
+        return 200, self.restart_workers(targets)
+
+    def extra_get(
+        self, path: str, query: dict[str, list[str]]
+    ) -> Optional[tuple[int, dict[str, Any]]]:
+        """The router serves no extra GET endpoints."""
+        return None
 
     # ------------------------------------------------------------------
     # observability
@@ -781,13 +798,7 @@ class LanternFleet:
             target=self._heartbeat_loop, name="fleet-heartbeat", daemon=True
         )
         self._heartbeat_thread.start()
-        handler = _make_router_handler(self)
-        self._httpd = ThreadingHTTPServer((self.config.host, self.config.port), handler)
-        self._httpd.daemon_threads = True
-        self._http_thread = threading.Thread(
-            target=self._httpd.serve_forever, name="fleet-router-http", daemon=True
-        )
-        self._http_thread.start()
+        self._httpd = FrontDoor(self, self.config.host, self.config.port, "fleet-router-http")
         return self._httpd.server_address[0], self._httpd.server_address[1]
 
     def stop(self) -> None:
@@ -796,12 +807,8 @@ class LanternFleet:
             self._heartbeat_thread.join(timeout=5.0)
             self._heartbeat_thread = None
         if self._httpd is not None:
-            self._httpd.shutdown()
-            self._httpd.server_close()
+            self._httpd.stop()
             self._httpd = None
-        if self._http_thread is not None:
-            self._http_thread.join(timeout=5.0)
-            self._http_thread = None
         self._executor.shutdown(wait=False)
         with self._lock:
             handles = list(self.workers.values())
@@ -843,162 +850,3 @@ class LanternFleet:
 def body_item_count(body: dict[str, Any]) -> int:
     plans = body.get("plans")
     return len(plans) if isinstance(plans, list) else 1
-
-
-def _make_router_handler(fleet: LanternFleet) -> type[BaseHTTPRequestHandler]:
-    class RouterHandler(BaseHTTPRequestHandler):
-        server_version = "LanternFleet/1.0"
-        protocol_version = "HTTP/1.1"
-        disable_nagle_algorithm = True
-
-        def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-            pass
-
-        def _send_json(self, status: int, body: dict[str, Any]) -> None:
-            payload = json.dumps(body).encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(payload)))
-            if status == 429:
-                self.send_header("Retry-After", "1")
-            if self.close_connection:
-                self.send_header("Connection", "close")
-            self.end_headers()
-            self.wfile.write(payload)
-
-        def _send_text(self, status: int, text: str, content_type: str) -> None:
-            payload = text.encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            self.wfile.write(payload)
-
-        def _read_body(self, required: bool = True) -> Optional[dict[str, Any]]:
-            length = int(self.headers.get("Content-Length", 0) or 0)
-            if length <= 0:
-                if not required:
-                    return None
-                self.close_connection = True
-                raise _HTTPError(
-                    400, {"error": "bad_request", "message": "missing request body"}
-                )
-            if length > MAX_BODY_BYTES:
-                self.close_connection = True
-                raise _HTTPError(
-                    413,
-                    {
-                        "error": "too_large",
-                        "message": f"request body exceeds {MAX_BODY_BYTES} bytes",
-                    },
-                )
-            raw = self.rfile.read(length)
-            try:
-                return json.loads(raw.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as error:
-                raise _HTTPError(
-                    400, {"error": "bad_request", "message": f"invalid JSON body: {error}"}
-                ) from error
-
-        def do_POST(self) -> None:
-            started = time.perf_counter()
-            path = self.path.split("?", 1)[0].rstrip("/")
-            if path == "/narrate":
-                self._post_narrate(started)
-            elif path == "/admin/restart":
-                self._post_restart(started)
-            else:
-                self._read_body(required=False)
-                fleet.telemetry.record_request(
-                    404, time.perf_counter() - started, endpoint="other"
-                )
-                self._send_json(404, {"error": "not_found", "message": self.path})
-
-        def _post_narrate(self, started: float) -> None:
-            root = fleet.tracer.trace(
-                "POST /narrate (router)",
-                trace_id=self.headers.get("X-Lantern-Trace-Id"),
-            )
-            status = 500
-            with root:
-                try:
-                    body = self._read_body()
-                    if isinstance(body, dict) and "plans" in body and "plan" not in body:
-                        status, payload = fleet.narrate_batch_payload(body, span=root)
-                    else:
-                        status, payload = fleet.narrate_payload(body, span=root)
-                    if root and isinstance(payload, dict):
-                        payload["trace_id"] = root.trace_id
-                except _HTTPError as error:
-                    status, payload = error.status, error.body
-                    root.tag(error=error.body.get("error", "http_error"))
-                except Exception as error:  # noqa: BLE001 - last-resort 500
-                    status, payload = 500, {
-                        "error": "internal",
-                        "message": f"{type(error).__name__}: {error}",
-                    }
-                root.tag(status=status)
-                self._send_json(status, payload)
-            fleet.telemetry.record_request(
-                status, time.perf_counter() - started, endpoint="/narrate"
-            )
-
-        def _post_restart(self, started: float) -> None:
-            status = 500
-            try:
-                body = self._read_body(required=False) or {}
-                targets = body.get("workers")
-                if targets is None and body.get("worker"):
-                    targets = [body["worker"]]
-                payload = fleet.restart_workers(targets)
-                status = 200
-            except _HTTPError as error:
-                status, payload = error.status, error.body
-            except Exception as error:  # noqa: BLE001 - last-resort 500
-                payload = {"error": "internal", "message": f"{type(error).__name__}: {error}"}
-            fleet.telemetry.record_request(
-                status, time.perf_counter() - started, endpoint="/admin/restart"
-            )
-            self._send_json(status, payload)
-
-        def do_GET(self) -> None:
-            started = time.perf_counter()
-            path, _, query_text = self.path.partition("?")
-            path = path.rstrip("/") or "/"
-            query = parse_qs(query_text)
-            status = 200
-            endpoint = path
-            try:
-                if path == "/metrics":
-                    if query.get("format", [""])[0] == "prometheus":
-                        self._send_text(
-                            200, fleet.prometheus_metrics(), PROMETHEUS_CONTENT_TYPE
-                        )
-                    else:
-                        self._send_json(200, fleet.metrics())
-                elif path == "/trace":
-                    limit = None
-                    if "limit" in query:
-                        try:
-                            limit = int(query["limit"][0])
-                        except ValueError:
-                            limit = None
-                    self._send_json(200, fleet.traces(limit))
-                elif path == "/healthz":
-                    health = fleet.healthz()
-                    status = 200 if health["status"] == "ok" else 503
-                    self._send_json(status, health)
-                else:
-                    status = 404
-                    endpoint = "other"
-                    self._send_json(404, {"error": "not_found", "message": self.path})
-            except Exception as error:  # noqa: BLE001 - last-resort 500
-                status = 500
-                self._send_json(
-                    500, {"error": "internal", "message": f"{type(error).__name__}: {error}"}
-                )
-            fleet.telemetry.record_request(
-                status, time.perf_counter() - started, endpoint=endpoint
-            )
-
-    return RouterHandler

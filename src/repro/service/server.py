@@ -1,7 +1,8 @@
 """The LANTERN-SERVE HTTP API: ``POST /narrate``, ``GET /metrics``, ``GET /healthz``.
 
-Pure stdlib (:class:`http.server.ThreadingHTTPServer`), so the serving layer
-deploys anywhere the library does.  Handler threads parse and validate
+Pure stdlib: the shared front door in :mod:`repro.service.http` serves this
+app (``LanternService.narrate`` and friends), so the serving layer deploys
+anywhere the library does.  Handler threads parse and validate
 payloads, then hand the operator tree to the shared
 :class:`~repro.service.batcher.MicroBatcher`; narration itself always runs
 on the batcher's single worker thread, which is what lets concurrent
@@ -24,14 +25,9 @@ queue is full, 503 when a narration times out.
 
 from __future__ import annotations
 
-import json
-import threading
 import time
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Optional
-
-from urllib.parse import parse_qs
 
 from repro.core.lantern import MODE_AUTO, MODE_NEURAL, MODE_RULE, Lantern
 from repro.core.narration import Narration
@@ -40,15 +36,13 @@ from repro.errors import (
     NarrationError,
     PlanDetectionError,
     PlanFormatError,
-    ReproError,
-    ServiceError,
     ServiceOverloadError,
     ServiceTimeoutError,
 )
 from repro.obs.events import JsonEventLog
-from repro.obs.prometheus import CONTENT_TYPE as PROMETHEUS_CONTENT_TYPE
 from repro.obs.tracing import NOOP_SPAN, Span, TraceStore, Tracer
 from repro.service.batcher import BatcherConfig, MicroBatcher
+from repro.service.http import BadRequest, FrontDoor, HTTPError, PlanRejected, is_batch_wire
 from repro.service.telemetry import ServiceTelemetry
 
 DEFAULT_HOST = "127.0.0.1"
@@ -80,18 +74,6 @@ def _process_rss_bytes() -> Optional[int]:
 
 _MODES = (MODE_RULE, MODE_NEURAL, MODE_AUTO)
 
-#: request body size bound — a QEP serialization has no business being larger
-MAX_BODY_BYTES = 8 * 1024 * 1024
-
-
-class _HTTPError(ServiceError):
-    """Internal: carries an HTTP status + JSON body to the handler."""
-
-    def __init__(self, status: int, body: dict[str, Any]) -> None:
-        super().__init__(body.get("message", ""))
-        self.status = status
-        self.body = body
-
 
 @dataclass
 class ServiceConfig:
@@ -121,10 +103,14 @@ class ServiceConfig:
 class LanternService:
     """The servable unit: one Lantern + batcher + telemetry, HTTP-fronted.
 
-    Separate from the HTTP plumbing so tests (and embedders) can call
-    :meth:`narrate_payload` / :meth:`metrics` directly, and so a future
-    transport (async, gRPC, ...) can reuse the whole serving core.
+    Separate from the HTTP plumbing (:mod:`repro.service.http`) so tests
+    (and embedders) can call :meth:`narrate_payload` / :meth:`metrics`
+    directly, and so a future transport (async, gRPC, ...) can reuse the
+    whole serving core.
     """
+
+    #: name of the ``POST /narrate`` root span
+    root_span_name = "POST /narrate"
 
     def __init__(
         self,
@@ -156,12 +142,44 @@ class LanternService:
         #: set by :meth:`begin_drain` — ``/healthz`` answers ``"draining"``
         #: (503) and new narrations are refused, while in-flight ones finish
         self.draining = False
-        self._httpd: Optional[ThreadingHTTPServer] = None
-        self._http_thread: Optional[threading.Thread] = None
+        self._httpd: Optional[FrontDoor] = None
 
     # ------------------------------------------------------------------
     # request handling (transport-independent)
     # ------------------------------------------------------------------
+
+    def narrate(self, body: Any, span: Span = NOOP_SPAN) -> tuple[int, dict[str, Any]]:
+        """The HTTP kernel's ``POST /narrate`` entry: single or batch wire."""
+        if is_batch_wire(body):
+            return 200, self.narrate_batch_payload(body, span=span)
+        return 200, self.narrate_payload(body, span=span)
+
+    def _checked_options(
+        self, body: Any, shape_error: Optional[str]
+    ) -> tuple[str, Optional[str]]:
+        """The checks both wire shapes share, in order: refuse while
+        draining, reject a malformed body (``shape_error``), then an unknown
+        ``mode`` or ``presentation``.  Returns ``(mode, presentation)``."""
+        if self.draining:
+            raise HTTPError(
+                503,
+                {
+                    "error": "draining",
+                    "message": "this worker is draining for restart; retry elsewhere",
+                },
+            )
+        if shape_error is not None:
+            raise BadRequest(shape_error)
+        mode = body.get("mode", self.config.default_mode)
+        if mode not in _MODES:
+            raise BadRequest(f"unknown mode {mode!r}; expected one of {list(_MODES)}")
+        presentation = body.get("presentation")
+        if presentation is not None and presentation not in PRESENTATION_MODES:
+            raise BadRequest(
+                f"unknown presentation {presentation!r}; "
+                f"expected one of {list(PRESENTATION_MODES)}"
+            )
+        return mode, presentation
 
     def narrate_payload(
         self, body: dict[str, Any], span: Span = NOOP_SPAN
@@ -175,62 +193,18 @@ class LanternService:
         """
         admission_started = time.perf_counter()
         with span.child("admission"):
-            if self.draining:
-                raise _HTTPError(
-                    503,
-                    {
-                        "error": "draining",
-                        "message": "this worker is draining for restart; retry elsewhere",
-                    },
-                )
+            shape_error = None
             if not isinstance(body, dict):
-                raise _HTTPError(
-                    400, {"error": "bad_request", "message": "request body must be a JSON object"}
-                )
-            if "plan" not in body:
-                raise _HTTPError(
-                    400, {"error": "bad_request", "message": "request body needs a 'plan' key"}
-                )
-            mode = body.get("mode", self.config.default_mode)
-            if mode not in _MODES:
-                raise _HTTPError(
-                    400,
-                    {
-                        "error": "bad_request",
-                        "message": f"unknown mode {mode!r}; expected one of {list(_MODES)}",
-                    },
-                )
-            presentation = body.get("presentation")
-            if presentation is not None and presentation not in PRESENTATION_MODES:
-                raise _HTTPError(
-                    400,
-                    {
-                        "error": "bad_request",
-                        "message": (
-                            f"unknown presentation {presentation!r}; "
-                            f"expected one of {list(PRESENTATION_MODES)}"
-                        ),
-                    },
-                )
-            plan_format = body.get("format")
+                shape_error = "request body must be a JSON object"
+            elif "plan" not in body:
+                shape_error = "request body needs a 'plan' key"
+            mode, presentation = self._checked_options(body, shape_error)
             try:
                 tree, resolved_format = self.lantern.registry.ingest(
-                    body["plan"], plan_format
+                    body["plan"], body.get("format")
                 )
-            except PlanDetectionError as error:
-                raise _HTTPError(
-                    400,
-                    {
-                        "error": "plan_format",
-                        "message": str(error),
-                        "attempted_formats": error.attempted_formats,
-                    },
-                ) from error
-            except PlanFormatError as error:
-                raise _HTTPError(
-                    400,
-                    {"error": "plan_format", "message": str(error)},
-                ) from error
+            except (PlanDetectionError, PlanFormatError) as error:
+                raise PlanRejected(error) from error
             span.tag(format=resolved_format, mode=mode)
             self.telemetry.record_stage(
                 "admission", time.perf_counter() - admission_started
@@ -240,13 +214,13 @@ class LanternService:
         try:
             narration = self.batcher.submit(tree, mode=mode, span=span)
         except ServiceOverloadError as error:
-            raise _HTTPError(
+            raise HTTPError(
                 429, {"error": "overloaded", "message": str(error), "retry_after_s": 1}
             ) from error
         except ServiceTimeoutError as error:
-            raise _HTTPError(503, {"error": "timeout", "message": str(error)}) from error
+            raise HTTPError(503, {"error": "timeout", "message": str(error)}) from error
         except NarrationError as error:
-            raise _HTTPError(
+            raise HTTPError(
                 400, {"error": "narration", "message": str(error)}
             ) from error
         latency_s = time.perf_counter() - started
@@ -281,41 +255,11 @@ class LanternService:
         LANTERN-FLEET router splits these envelopes per shard and rejoins the
         item lists in order.
         """
-        if self.draining:
-            raise _HTTPError(
-                503,
-                {
-                    "error": "draining",
-                    "message": "this worker is draining for restart; retry elsewhere",
-                },
-            )
         plans = body.get("plans")
-        if not isinstance(plans, list) or not plans:
-            raise _HTTPError(
-                400,
-                {"error": "bad_request", "message": "'plans' must be a non-empty list"},
-            )
-        mode = body.get("mode", self.config.default_mode)
-        if mode not in _MODES:
-            raise _HTTPError(
-                400,
-                {
-                    "error": "bad_request",
-                    "message": f"unknown mode {mode!r}; expected one of {list(_MODES)}",
-                },
-            )
-        presentation = body.get("presentation")
-        if presentation is not None and presentation not in PRESENTATION_MODES:
-            raise _HTTPError(
-                400,
-                {
-                    "error": "bad_request",
-                    "message": (
-                        f"unknown presentation {presentation!r}; "
-                        f"expected one of {list(PRESENTATION_MODES)}"
-                    ),
-                },
-            )
+        mode, presentation = self._checked_options(
+            body,
+            None if isinstance(plans, list) and plans else "'plans' must be a non-empty list",
+        )
         plan_format = body.get("format")
         results: list[Optional[dict[str, Any]]] = [None] * len(plans)
         ingested: list[tuple[int, Any, str]] = []
@@ -323,15 +267,8 @@ class LanternService:
             for index, plan in enumerate(plans):
                 try:
                     tree, resolved_format = self.lantern.registry.ingest(plan, plan_format)
-                except PlanDetectionError as error:
-                    results[index] = {
-                        "error": "plan_format",
-                        "message": str(error),
-                        "attempted_formats": error.attempted_formats,
-                        "status": 400,
-                    }
-                except PlanFormatError as error:
-                    results[index] = {"error": "plan_format", "message": str(error), "status": 400}
+                except (PlanDetectionError, PlanFormatError) as error:
+                    results[index] = {**PlanRejected(error).body, "status": 400}
                 else:
                     ingested.append((index, tree, resolved_format))
         outcomes = self.batcher.submit_many(
@@ -489,23 +426,13 @@ class LanternService:
         Pass ``port=0`` in the config to bind an ephemeral port (tests do).
         """
         self.batcher.start()
-        handler = _make_handler(self)
-        self._httpd = ThreadingHTTPServer((self.config.host, self.config.port), handler)
-        self._httpd.daemon_threads = True
-        self._http_thread = threading.Thread(
-            target=self._httpd.serve_forever, name="lantern-serve-http", daemon=True
-        )
-        self._http_thread.start()
+        self._httpd = FrontDoor(self, self.config.host, self.config.port, "lantern-serve-http")
         return self._httpd.server_address[0], self._httpd.server_address[1]
 
     def stop(self) -> None:
         if self._httpd is not None:
-            self._httpd.shutdown()
-            self._httpd.server_close()
+            self._httpd.stop()
             self._httpd = None
-        if self._http_thread is not None:
-            self._http_thread.join(timeout=5.0)
-            self._http_thread = None
         self.batcher.stop()
         if self.trace_log is not None:
             self.trace_log.close()
@@ -546,212 +473,6 @@ def _narration_to_dict(narration: Narration) -> dict[str, Any]:
             for step in narration.steps
         ],
     }
-
-
-def _make_handler(service: LanternService) -> type[BaseHTTPRequestHandler]:
-    class Handler(BaseHTTPRequestHandler):
-        server_version = "LanternServe/1.0"
-        protocol_version = "HTTP/1.1"
-        # headers and body go out as separate small writes; with Nagle on,
-        # the body segment stalls behind the client's delayed ACK (~40 ms)
-        # on every kept-alive request
-        disable_nagle_algorithm = True
-
-        # -- plumbing ----------------------------------------------------
-
-        def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-            pass  # telemetry replaces access logs; stderr stays quiet
-
-        def _send_json(self, status: int, body: dict[str, Any]) -> None:
-            payload = json.dumps(body).encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(payload)))
-            if status == 429:
-                self.send_header("Retry-After", "1")
-            if self.close_connection:
-                # set when the request body was not (fully) read: the unread
-                # bytes would desync a kept-alive HTTP/1.1 stream, so tell
-                # the client this connection is done
-                self.send_header("Connection", "close")
-            self.end_headers()
-            self.wfile.write(payload)
-
-        def _read_body(self) -> dict[str, Any]:
-            length = int(self.headers.get("Content-Length", 0) or 0)
-            if length <= 0:
-                self.close_connection = True
-                raise _HTTPError(
-                    400, {"error": "bad_request", "message": "missing request body"}
-                )
-            if length > MAX_BODY_BYTES:
-                self.close_connection = True
-                raise _HTTPError(
-                    413,
-                    {
-                        "error": "too_large",
-                        "message": f"request body exceeds {MAX_BODY_BYTES} bytes",
-                    },
-                )
-            raw = self.rfile.read(length)
-            try:
-                return json.loads(raw.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as error:
-                raise _HTTPError(
-                    400,
-                    {"error": "bad_request", "message": f"invalid JSON body: {error}"},
-                ) from error
-
-        def _send_text(self, status: int, text: str, content_type: str) -> None:
-            payload = text.encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            self.wfile.write(payload)
-
-        def _respond_json(self, root: Span, status: int, body: dict[str, Any]) -> None:
-            """Send a JSON response under a ``respond`` span child."""
-            respond_started = time.perf_counter()
-            with root.child("respond", status=status):
-                self._send_json(status, body)
-                service.telemetry.record_stage(
-                    "respond", time.perf_counter() - respond_started
-                )
-
-        # -- endpoints ---------------------------------------------------
-
-        def do_POST(self) -> None:
-            path = self.path.split("?", 1)[0].rstrip("/")
-            if path != "/narrate":
-                self._handle_extra_post(path)
-                return
-            started = time.perf_counter()
-            plan_format = mode = None
-            # a fleet router propagates its request's trace id; adopting it
-            # keeps one id across the process boundary so the router can
-            # graft this worker's span tree onto its own
-            root = service.tracer.trace(
-                "POST /narrate", trace_id=self.headers.get("X-Lantern-Trace-Id")
-            )
-            with root:
-                try:
-                    with root.child("read_body"):
-                        body = self._read_body()
-                    if isinstance(body, dict) and "plans" in body and "plan" not in body:
-                        response = service.narrate_batch_payload(body, span=root)
-                    else:
-                        response = self.narrate(body, root)
-                    telemetry_tags = response.pop("_telemetry", {})
-                    plan_format = telemetry_tags.get("plan_format")
-                    mode = telemetry_tags.get("mode")
-                    status = 200
-                    if root:
-                        response["trace_id"] = root.trace_id
-                    self._respond_json(root, status, response)
-                except _HTTPError as error:
-                    status = error.status
-                    root.tag(error=error.body.get("error", "http_error"))
-                    self._respond_json(root, status, error.body)
-                except ReproError as error:
-                    status = 400
-                    self._respond_json(
-                        root, status, {"error": "narration", "message": str(error)}
-                    )
-                except Exception as error:  # noqa: BLE001 - last-resort 500
-                    status = 500
-                    self._respond_json(
-                        root,
-                        500,
-                        {"error": "internal", "message": f"{type(error).__name__}: {error}"},
-                    )
-                root.tag(status=status)
-            service.telemetry.record_request(
-                status,
-                time.perf_counter() - started,
-                plan_format=plan_format,
-                mode=mode,
-                endpoint="/narrate",
-            )
-
-        def narrate(self, body: dict[str, Any], span: Span = NOOP_SPAN) -> dict[str, Any]:
-            return service.narrate_payload(body, span=span)
-
-        def _handle_extra_post(self, path: str) -> None:
-            """Dispatch an unknown POST path through the service's extension
-            hook (the fleet worker's ``/admin/*`` surface), else 404."""
-            started = time.perf_counter()
-            status = 404
-            try:
-                length = int(self.headers.get("Content-Length", 0) or 0)
-                body = self._read_body() if length > 0 else None
-                result = service.extra_post(path, body)
-                if result is None:
-                    service.telemetry.record_request(404, 0.0, endpoint="other")
-                    self._send_json(404, {"error": "not_found", "message": self.path})
-                    return
-                status, payload = result
-                self._send_json(status, payload)
-            except _HTTPError as error:
-                status = error.status
-                self._send_json(status, error.body)
-            except Exception as error:  # noqa: BLE001 - last-resort 500
-                status = 500
-                self._send_json(
-                    500, {"error": "internal", "message": f"{type(error).__name__}: {error}"}
-                )
-            service.telemetry.record_request(
-                status, time.perf_counter() - started, endpoint=path
-            )
-
-        def do_GET(self) -> None:
-            started = time.perf_counter()
-            path, _, query_text = self.path.partition("?")
-            path = path.rstrip("/") or "/"
-            query = parse_qs(query_text)
-            status = 200
-            endpoint = path
-            try:
-                if path == "/metrics":
-                    if query.get("format", [""])[0] == "prometheus":
-                        self._send_text(
-                            200, service.prometheus_metrics(), PROMETHEUS_CONTENT_TYPE
-                        )
-                    else:
-                        self._send_json(200, service.metrics())
-                elif path == "/trace":
-                    limit = None
-                    if "limit" in query:
-                        try:
-                            limit = int(query["limit"][0])
-                        except ValueError:
-                            limit = None
-                    self._send_json(200, service.traces(limit))
-                elif path == "/healthz":
-                    health = service.healthz()
-                    # non-ok states answer 503 so load balancers and the
-                    # fleet router can act on the status code alone
-                    status = 200 if health["status"] == "ok" else 503
-                    self._send_json(status, health)
-                else:
-                    extra = service.extra_get(path, query)
-                    if extra is not None:
-                        status, payload = extra
-                        self._send_json(status, payload)
-                    else:
-                        status = 404
-                        endpoint = "other"
-                        self._send_json(404, {"error": "not_found", "message": self.path})
-            except Exception as error:  # noqa: BLE001 - last-resort 500
-                status = 500
-                self._send_json(
-                    500, {"error": "internal", "message": f"{type(error).__name__}: {error}"}
-                )
-            service.telemetry.record_request(
-                status, time.perf_counter() - started, endpoint=endpoint
-            )
-
-    return Handler
 
 
 def build_service(

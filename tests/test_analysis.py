@@ -490,3 +490,18 @@ class TestRepoIsClean:
         payload = json.loads(result.stdout)
         assert payload["findings"] == []
         assert payload["files_checked"] > 50
+
+    def test_api_surface_still_sees_every_served_route(self, tmp_path):
+        """Against docs that document nothing, the rule must report every
+        route both front doors serve — proof it can still read them."""
+        (tmp_path / "api.md").write_text("nothing documented\n", encoding="utf-8")
+        report = analyze(REPO_ROOT / "src" / "repro", docs_dir=tmp_path, rules=["api-surface"])
+        routes = {
+            finding.symbol.split(":", 1)[1]
+            for finding in report.findings
+            if finding.symbol.startswith("route:")
+        }
+        assert routes >= {
+            "/narrate", "/metrics", "/trace", "/healthz",
+            "/admin/restart", "/admin/drain", "/admin/cache",
+        }

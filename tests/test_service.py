@@ -123,7 +123,7 @@ class TestEndpoints:
         stream: the server says Connection: close and means it."""
         import http.client
 
-        from repro.service.server import MAX_BODY_BYTES
+        from repro.service.http import MAX_BODY_BYTES
 
         service, _ = rule_service
         host, port = service._httpd.server_address
