@@ -46,12 +46,16 @@ from repro.workloads.imdb import IMDB_JOIN_GRAPH
 
 BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_table6.json"
 
-#: LANTERN-ZERO int8 rung: the quantized-vs-float64 ratio is measured at the
+#: float32 rung: the float32-cast-vs-float64 ratio is measured at the
 #: paper's decoder scale (256 hidden units), where decoding is matmul-bound;
 #: at the reduced bench scale fixed per-step overhead hides the BLAS win
 PAPER_HIDDEN = 256
 PAPER_ATTENTION = 128
-MIN_INT8_COLD_SPEEDUP = 1.5
+MIN_FLOAT32_COLD_SPEEDUP = 1.5
+#: interleaved (float64, float32) timing pairs, alternating which side runs
+#: first; the gate is the median of the per-pair ratios, so a noisy moment
+#: skews one pair rather than every run of one side
+COLD_DECODE_PAIRS = 9
 
 
 def _timed_pass(neural, plans) -> float:
@@ -229,11 +233,11 @@ def test_table6_efficiency(benchmark, suite):
     assert compiled <= warm
 
 
-def test_int8_cold_decode_paper_scale():
-    """LANTERN-ZERO quantization rung: int8 replicas (per-row absmax,
-    float32 accumulation) must make a *cold* decode at the paper's decoder
-    scale at least 1.5× faster than the float64 path, on identical
-    sources.  Results merge into ``BENCH_table6.json``."""
+def test_float32_cold_decode_paper_scale():
+    """Float32 rung: ``model.astype("float32")`` must make a *cold* decode
+    at the paper's decoder scale at least 1.5× faster than the float64
+    model it was cast from, on identical sources — the median of
+    interleaved per-pair ratios.  Results merge into ``BENCH_table6.json``."""
     rng = np.random.default_rng(0)
     operator_tokens = [f"op{i}" for i in range(40)]
     model = QEP2Seq(
@@ -246,47 +250,57 @@ def test_int8_cold_decode_paper_scale():
             max_decode_length=30,
         ),
     )
+    cast = model.astype("float32")
     sources = [
         [operator_tokens[int(rng.integers(0, 40))] for _ in range(int(rng.integers(4, 12)))]
         for _ in range(32)
     ]
 
-    def best_decode_seconds() -> float:
-        best = float("inf")
-        for _ in range(4):
-            started = time.perf_counter()
-            model.beam_decode_batch(sources, beam_size=4)
-            best = min(best, time.perf_counter() - started)
-        return best
+    def decode_seconds(decoder) -> float:
+        started = time.perf_counter()
+        decoder.beam_decode_batch(sources, beam_size=4)
+        return time.perf_counter() - started
 
-    float64_seconds = best_decode_seconds()
-    model.quantize("int8")
-    try:
-        int8_seconds = best_decode_seconds()
-    finally:
-        model.dequantize()
-    speedup = float64_seconds / int8_seconds
-    assert speedup >= MIN_INT8_COLD_SPEEDUP
+    decode_seconds(model)  # warm-up: first-touch allocations on both sides
+    decode_seconds(cast)
+    float64_runs, float32_runs = [], []
+    for pair in range(COLD_DECODE_PAIRS):
+        if pair % 2:
+            float32_runs.append(decode_seconds(cast))
+            float64_runs.append(decode_seconds(model))
+        else:
+            float64_runs.append(decode_seconds(model))
+            float32_runs.append(decode_seconds(cast))
+    ratios = np.array(float64_runs) / np.array(float32_runs)
+    q1, speedup, q3 = np.percentile(ratios, [25, 50, 75])
+    assert speedup >= MIN_FLOAT32_COLD_SPEEDUP
 
     try:
         document = json.loads(BENCH_JSON.read_text())
     except FileNotFoundError:
         document = {}
-    document["int8_cold"] = {
+    document["float32_cold"] = {
         "hidden_dim": PAPER_HIDDEN,
         "sources": len(sources),
         "beam_size": 4,
-        "float64_cold_decode_s": round(float64_seconds, 4),
-        "int8_cold_decode_s": round(int8_seconds, 4),
-        "int8_cold_speedup": round(speedup, 2),
+        "pairs": COLD_DECODE_PAIRS,
+        "float64_cold_decode_s": round(float(np.median(float64_runs)), 4),
+        "float32_cold_decode_s": round(float(np.median(float32_runs)), 4),
+        "float32_cold_speedup": round(float(speedup), 2),
+        "float32_cold_speedup_iqr": round(float(q3 - q1), 2),
     }
     BENCH_JSON.write_text(json.dumps(document, indent=2) + "\n")
 
     print_table(
-        f"Cold batched decode by precision (hidden={PAPER_HIDDEN}, 32 sources)",
+        f"Cold batched decode by precision (hidden={PAPER_HIDDEN}, 32 sources, "
+        f"median of {COLD_DECODE_PAIRS} interleaved pairs)",
         ["precision", "decode (ms)", "speedup"],
         [
-            ["float64", f"{float64_seconds * 1000:.1f}", "1.0x"],
-            ["int8 (absmax rows)", f"{int8_seconds * 1000:.1f}", f"{speedup:.2f}x"],
+            ["float64", f"{np.median(float64_runs) * 1000:.1f}", "1.0x"],
+            [
+                "float32 (astype)",
+                f"{np.median(float32_runs) * 1000:.1f}",
+                f"{speedup:.2f}x (IQR {q3 - q1:.2f})",
+            ],
         ],
     )

@@ -1,4 +1,4 @@
-"""Quickstart for LANTERN-ZERO: mmap boot, int8 decode, compiled narrations.
+"""Quickstart for LANTERN-ZERO: mmap boot, float32 decode, compiled narrations.
 
 Walks the zero-work serving stack in one process:
 
@@ -7,9 +7,9 @@ Walks the zero-work serving stack in one process:
 2. boot from the mapped checkpoint: parameters come back as read-only
    shared views — no decompression, no copies — and ``/metrics``-style
    memory info shows the mapping;
-3. flip the model to ``int8`` inference (per-row absmax scales, float32
-   accumulation) and show the decode stays token-identical on real
-   signatures;
+3. cast the model to float32 with ``model.astype("float32")`` (an ordinary
+   float32 model at half the weight bytes, decoding on sgemm) and show the
+   decode stays token-identical on real signatures;
 4. pre-decode the workload with :func:`repro.nlg.compile.compile_plans`,
    freeze the ranked candidates into a compiled cache file, mount it in a
    fresh facade, and narrate the whole workload **without a single beam
@@ -62,9 +62,10 @@ def main() -> None:
         )
 
         print("=" * 72)
-        print("3. int8 inference: same tokens, smaller matmuls")
+        print("3. float32 inference: same tokens, half the weight bytes")
         print("=" * 72)
         model = loaded.neural.model
+        cast = model.astype("float32")
         signatures = []
         for tree in trees[:3]:
             narration = loaded.describe_plan(tree)  # rule pass exposes the acts
@@ -73,13 +74,13 @@ def main() -> None:
             )
             signatures.extend(act.input_tokens() for act in acts)
         float64_decodes = model.beam_decode_batch(signatures, beam_size=2)
-        model.quantize("int8")
-        int8_decodes = model.beam_decode_batch(signatures, beam_size=2)
-        model.dequantize()
-        agreement = sum(a == b for a, b in zip(float64_decodes, int8_decodes))
+        float32_decodes = cast.beam_decode_batch(signatures, beam_size=2)
+        agreement = sum(a == b for a, b in zip(float64_decodes, float32_decodes))
         print(
             f"token agreement on {len(signatures)} act signatures: "
-            f"{agreement}/{len(signatures)}\n"
+            f"{agreement}/{len(signatures)}; weights "
+            f"{model.weights_memory_info()['bytes'] / 1024:.0f} KiB -> "
+            f"{cast.weights_memory_info()['bytes'] / 1024:.0f} KiB\n"
         )
 
         print("=" * 72)

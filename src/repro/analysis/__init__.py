@@ -14,8 +14,7 @@ code.  SENTRY machine-checks them: a dependency-free, ``ast``-based engine
   under it everywhere, and read-modify-write counter updates may never run
   unlocked;
 * ``parity-pair`` — every fused/turbo kernel resolves to its reference
-  twin, tests exercise both, and every quantize mode keeps an agreement
-  test;
+  twin, and tests exercise both;
 * ``hot-path`` — the declared hot functions (batched decode, cache lookup,
   span record, router forward) stay free of per-iteration array
   concatenation, array-accumulating list appends, stray ``float64``

@@ -10,8 +10,7 @@ that PRs 4-6 spent their budget removing:
 * ``list.append(np.<...>(...))`` inside a loop (accumulating fresh arrays
   one by one instead of batching);
 * ``float64`` mentioned by name (the decode stack threads dtype through
-  config; a literal pins precision and silently defeats float32/quantized
-  replicas);
+  config; a literal pins precision and silently defeats a float32 model);
 * ``try``/``except`` inside a ``for`` loop over a non-``range`` iterable
   (per-item exception frames on the data path; ``range`` loops are exempt
   because bounded retry loops are idiomatic).
@@ -191,6 +190,6 @@ class HotPathRule(Rule):
                 symbol=f"{qualname}:float64-literal",
                 message=(
                     f"float64 pinned by name in hot path {qualname}; thread the "
-                    "dtype through config so float32/quantized replicas stay live"
+                    "dtype through config so a float32 model stays float32"
                 ),
             )

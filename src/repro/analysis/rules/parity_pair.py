@@ -11,10 +11,7 @@ path + agreement test".  This rule makes the triangle structural:
   at least one test module (private kernels are reached through config
   flags, so their pairing is enforced at the call-site pair below);
 * declared call-site pairs (batched beam decode vs. its sequential twin)
-  get the same treatment even though neither name carries a suffix;
-* every quantize mode in ``nlg/nn/quant.py``'s ``QUANTIZE_MODES`` (except
-  ``"none"``) must appear in a test module next to a quantize/infer call,
-  so a new int4 mode cannot ship without an agreement test.
+  get the same treatment even though neither name carries a suffix.
 """
 
 from __future__ import annotations
@@ -32,9 +29,6 @@ _FUSED_SUFFIXES = ("_fused", "_turbo")
 _EXTRA_PAIRS = (
     ("nlg/seq2seq.py", "QEP2Seq", "beam_decode_batch", "beam_decode_candidates_sequential"),
 )
-
-_QUANT_FILE = "nlg/nn/quant.py"
-_QUANT_EXEMPT_MODES = {"none"}
 
 
 def _fused_base(name: str) -> Optional[str]:
@@ -56,8 +50,8 @@ def _scope_functions(scope: ast.AST) -> dict[str, ast.AST]:
 class ParityPairRule(Rule):
     name = "parity-pair"
     description = (
-        "fused/turbo kernels must keep a resolvable reference twin, public "
-        "pairs must share a test, and every quantize mode needs an agreement test"
+        "fused/turbo kernels must keep a resolvable reference twin, and public "
+        "pairs must share a test"
     )
     requires_tests = True
 
@@ -72,7 +66,6 @@ class ParityPairRule(Rule):
                 if isinstance(node, ast.ClassDef):
                     yield from self._check_scope(source, node, node.name, tests)
             yield from self._check_extra_pairs(source, tests)
-        yield from self._check_quant_modes(context, tests)
 
     def _check_scope(
         self,
@@ -158,38 +151,3 @@ class ParityPairRule(Rule):
                         f"no test module references both {fast} and {reference}"
                     ),
                 )
-
-    def _check_quant_modes(
-        self, context: AnalysisContext, tests: dict[str, str]
-    ) -> Iterator[Finding]:
-        for source in context.files_matching(_QUANT_FILE):
-            for node in source.tree.body:
-                if not isinstance(node, ast.Assign):
-                    continue
-                if not any(
-                    isinstance(t, ast.Name) and t.id == "QUANTIZE_MODES"
-                    for t in node.targets
-                ):
-                    continue
-                if not isinstance(node.value, (ast.Tuple, ast.List)):
-                    continue
-                for element in node.value.elts:
-                    if not isinstance(element, ast.Constant):
-                        continue
-                    mode = element.value
-                    if not isinstance(mode, str) or mode in _QUANT_EXEMPT_MODES:
-                        continue
-                    if tests and not any(
-                        mode in text and ("quantize" in text or "infer_replica" in text)
-                        for text in tests.values()
-                    ):
-                        yield Finding(
-                            rule=self.name,
-                            path=source.rel,
-                            line=element.lineno,
-                            symbol=f"quant-mode:{mode}",
-                            message=(
-                                f"quantize mode {mode!r} has no agreement test "
-                                "(no test references it next to quantize/infer_replica)"
-                            ),
-                        )

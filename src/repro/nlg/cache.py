@@ -21,10 +21,10 @@ report cache effectiveness alongside response times.
 Keys identify the *question* (act signature + beam width + numeric
 precision), not the model answering it: entries are not invalidated by
 weight updates, so owners that keep training the wrapped model must
-:meth:`DecodeCache.clear` afterwards.  The precision component
-(``"<dtype>:<quantize>"``, see :attr:`QEP2Seq.precision`) keeps a float64
-warm cache imported into an int8 model — or vice versa — from serving
-stale cross-precision candidates.
+:meth:`DecodeCache.clear` afterwards.  The precision component (the model
+dtype, see :attr:`QEP2Seq.precision`) keeps a float64 warm cache imported
+into a float32 model — or vice versa — from serving stale cross-precision
+candidates.
 
 Below the LRU tier sits an optional **compiled tier**
 (:class:`CompiledCache`): an immutable, sorted-key snapshot produced by
@@ -51,13 +51,13 @@ from repro.errors import NLGError
 #: default number of act signatures kept before LRU eviction
 DEFAULT_CACHE_SIZE = 256
 
-#: the precision tag of the classic full-precision model — the default
-#: keeps legacy (pre-quantization) callers and checkpoints working
-DEFAULT_PRECISION = "float64:none"
+#: the precision tag of the default float64 model — the default keeps
+#: legacy (pre-precision) callers and checkpoints working
+DEFAULT_PRECISION = "float64"
 
 #: a cache key: the abstracted source tokens, the beam size they were
 #: decoded with (different beam sizes yield different ranked lists), and
-#: the numeric precision of the decoding model ("<dtype>:<quantize>")
+#: the numeric precision (dtype) of the decoding model
 CacheKey = tuple[tuple[str, ...], int, str]
 
 #: on-disk format marker of compiled cache files
@@ -73,10 +73,22 @@ def make_key(
     ``beam_size`` must be the *effective* decode width (callers resolve
     ``None`` defaults via the model config first) — keying on an unresolved
     sentinel would alias entries decoded under different widths.
-    ``precision`` is the decoding model's ``"<dtype>:<quantize>"`` tag so
-    reduced-precision candidates never alias full-precision ones.
+    ``precision`` is the decoding model's dtype so float32 candidates
+    never alias float64 ones.
     """
     return (tuple(source_tokens), int(beam_size), str(precision))
+
+
+def normalize_precision(tag: object) -> str:
+    """Read a precision tag from an imported snapshot.
+
+    Snapshots written while int8/float16 inference replicas existed tag
+    plain entries ``"<dtype>:none"``; that reads as ``"<dtype>"``.
+    Called only where entries enter a process (compiled-cache files,
+    checkpoint and ``/admin/cache`` imports), never on the lookup path.
+    """
+    dtype, separator, mode = str(tag).partition(":")
+    return dtype if separator and mode == "none" else str(tag)
 
 
 class CompiledCache:
@@ -171,7 +183,7 @@ class CompiledCache:
             return cls(
                 entries,
                 beam_size=int(payload["beam_size"]),
-                precision=str(payload.get("precision", DEFAULT_PRECISION)),
+                precision=normalize_precision(payload.get("precision", DEFAULT_PRECISION)),
             )
         except (KeyError, TypeError, ValueError) as error:
             raise NLGError(f"malformed compiled-cache payload: {error}") from error

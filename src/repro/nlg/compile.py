@@ -17,9 +17,9 @@ live beam search as before.  Because the compiled entries are produced by the
 same decoder that would serve them live, a compiled hit is token-for-token
 identical to a cold decode — the file is a pure latency optimization.
 
-The file records the beam size and numeric precision
-(``"<dtype>:<quantize>"``) it was compiled under; a service running the model
-at any other beam/precision simply misses the compiled tier.
+The file records the beam size and numeric precision (the model dtype) it
+was compiled under; a service running the model at any other beam/precision
+simply misses the compiled tier.
 """
 
 from __future__ import annotations

@@ -54,8 +54,8 @@ class NeuralLantern:
     precision) only — it does not observe the model's weights.  If you
     continue training the wrapped model after generating narrations, call
     ``self.decode_cache.clear()`` so stale pre-training candidates are not
-    served.  (The precision component means toggling quantization never
-    serves candidates decoded under a different numeric grid.)
+    served.  (The precision component means a float32 cast of the model
+    never serves candidates decoded in float64, or vice versa.)
     """
 
     def __init__(

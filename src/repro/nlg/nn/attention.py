@@ -84,25 +84,17 @@ class AdditiveAttention:
         encoder_states: np.ndarray,
         projected_encoder: np.ndarray,
         mask: Optional[np.ndarray],
-        weight_decoder: Optional[np.ndarray] = None,
-        score_vector: Optional[np.ndarray] = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The shared additive-score / softmax / weighted-sum pipeline.
 
         Both :meth:`forward` (training, with cache) and :meth:`step_context`
         (decoding, cache-free) go through this single implementation, so the
-        two paths can never diverge numerically.  The weight overrides let
-        inference substitute quantized replicas; ``None`` means the training
-        weights.  Returns (context (B, He), weights (B, T),
-        scores_tanh (B, T, A)).
+        two paths can never diverge numerically.  Returns (context (B, He),
+        weights (B, T), scores_tanh (B, T, A)).
         """
-        if weight_decoder is None:
-            weight_decoder = self.weight_decoder.value
-        if score_vector is None:
-            score_vector = self.score_vector.value
-        projected_decoder = decoder_state @ weight_decoder  # (B, A)
+        projected_decoder = decoder_state @ self.weight_decoder.value  # (B, A)
         scores_tanh = np.tanh(projected_encoder + projected_decoder[:, None, :])  # (B, T, A)
-        scores = scores_tanh @ score_vector  # (B, T)
+        scores = scores_tanh @ self.score_vector.value  # (B, T)
         if mask is not None:
             scores = np.where(mask > 0, scores, -1e9)
         weights = softmax(scores, axis=1)
@@ -142,11 +134,6 @@ class AdditiveAttention:
         """
         return encoder_states @ self.weight_encoder.value
 
-    def project_encoder_infer(self, encoder_states: np.ndarray) -> np.ndarray:
-        """:meth:`project_encoder` through the (possibly quantized)
-        inference replica — the same array when no quantization is active."""
-        return encoder_states @ self.weight_encoder.infer_value
-
     def step_context(
         self,
         decoder_state: np.ndarray,
@@ -159,16 +146,10 @@ class AdditiveAttention:
         The same :meth:`_score_and_mix` pipeline as :meth:`forward`, but it
         builds no backward cache and skips the per-step encoder projection.
         ``decoder_state`` (B, Hd), ``encoder_states`` / ``projected_encoder``
-        (B, T, ·), ``mask`` (B, T).  Computes through the inference replicas
-        (identical to the training weights when quantization is off).
+        (B, T, ·), ``mask`` (B, T).
         """
         context, _, _ = self._score_and_mix(
-            decoder_state,
-            encoder_states,
-            projected_encoder,
-            mask,
-            weight_decoder=self.weight_decoder.infer_value,
-            score_vector=self.score_vector.infer_value,
+            decoder_state, encoder_states, projected_encoder, mask
         )
         return context
 

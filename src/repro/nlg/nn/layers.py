@@ -17,20 +17,13 @@ class Parameter:
     math); float32 halves memory/bandwidth and is threaded down from
     ``Seq2SeqConfig.dtype``.  The gradient always shares the value's dtype.
 
-    Two LANTERN-ZERO extensions live here:
-
-    * **mmap adoption** — :meth:`adopt` swaps the value for a read-only
-      array mapped straight out of a checkpoint file, so N forked serving
-      workers share one physical copy of the weight pages.  The gradient
-      buffer is allocated *lazily* (first access), which keeps a pure
-      inference process from ever materializing a private grad copy;
-      :meth:`materialize` copies the value back into private writable
-      memory the moment training needs it (copy-on-train).
-    * **inference replicas** — :meth:`set_infer` attaches a quantized (or
-      otherwise reduced-precision) compute replica that :attr:`infer_value`
-      serves to the inference-only code paths.  With no replica attached,
-      ``infer_value`` *is* ``value`` (the same object), so the default
-      decode path stays bit-identical to training weights.
+    **mmap adoption** (LANTERN-ZERO) — :meth:`adopt` swaps the value for a
+    read-only array mapped straight out of a checkpoint file, so N forked
+    serving workers share one physical copy of the weight pages.  The
+    gradient buffer is allocated *lazily* (first access), which keeps a
+    pure inference process from ever materializing a private grad copy;
+    :meth:`materialize` copies the value back into private writable memory
+    the moment training needs it (copy-on-train).
     """
 
     def __init__(
@@ -40,7 +33,6 @@ class Parameter:
         self._grad: np.ndarray | None = None
         self.name = name
         self.mmap_backed = False
-        self._infer_value: np.ndarray | None = None
 
     @classmethod
     def uniform(
@@ -94,21 +86,6 @@ class Parameter:
             self.value = np.array(self.value)
             self.mmap_backed = False
 
-    # -- inference replicas (quantized decode) ----------------------------
-
-    @property
-    def infer_value(self) -> np.ndarray:
-        """The array inference paths compute with: the attached reduced-
-        precision replica if one exists, else ``value`` itself (same object,
-        so the unquantized decode path is bit-identical to training)."""
-        return self._infer_value if self._infer_value is not None else self.value
-
-    def set_infer(self, array: np.ndarray) -> None:
-        self._infer_value = array
-
-    def clear_infer(self) -> None:
-        self._infer_value = None
-
     @property
     def size(self) -> int:
         return int(self.value.size)
@@ -133,11 +110,6 @@ class Dense:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return x @ self.weight.value + self.bias.value
-
-    def forward_infer(self, x: np.ndarray) -> np.ndarray:
-        """Inference-only projection through the (possibly quantized)
-        inference replicas; identical to :meth:`forward` when none are set."""
-        return x @ self.weight.infer_value + self.bias.infer_value
 
     def backward(self, x: np.ndarray, grad_output: np.ndarray) -> np.ndarray:
         """Accumulate parameter gradients and return the gradient w.r.t. ``x``."""
@@ -186,12 +158,9 @@ class Embedding:
 
         Beam search feeds the last emitted token of every live beam through
         this in one call per timestep (the fused (M, D) decoder input) rather
-        than one batch-1 ``forward`` per beam.  Gathers from the table's
-        ``infer_value`` — the same array as :meth:`forward` uses unless a
-        quantized inference replica is attached, so the training and
-        inference gathers can never diverge on the default path.
+        than one batch-1 ``forward`` per beam.
         """
-        return self.table.infer_value[np.asarray(token_ids, dtype=np.int64)]
+        return self.table.value[np.asarray(token_ids, dtype=np.int64)]
 
     def backward(self, token_ids: np.ndarray, grad_output: np.ndarray) -> None:
         if not self.trainable:

@@ -106,26 +106,15 @@ class LSTM:
         x: np.ndarray,
         h_prev: np.ndarray,
         c_prev: np.ndarray,
-        weight_x: Optional[np.ndarray] = None,
-        weight_h: Optional[np.ndarray] = None,
-        bias: Optional[np.ndarray] = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The shared gate equations: returns (h, c, i, f, o, g).
 
         Both :meth:`step` (training, with cache) and :meth:`step_infer`
         (decoding, cache-free) go through this single implementation, so the
-        two paths can never diverge numerically.  The weight overrides let
-        the inference paths substitute quantized replicas without forking
-        the math; ``None`` means the training weights.
+        two paths can never diverge numerically.
         """
         hidden = self.hidden_dim
-        if weight_x is None:
-            weight_x = self.weight_x.value
-        if weight_h is None:
-            weight_h = self.weight_h.value
-        if bias is None:
-            bias = self.bias.value
-        pre = x @ weight_x + h_prev @ weight_h + bias
+        pre = x @ self.weight_x.value + h_prev @ self.weight_h.value + self.bias.value
         # i, f and o share one sigmoid over the leading 3H lanes (one ufunc
         # launch instead of three); elementwise, so the slices are identical
         # to three separate calls
@@ -169,17 +158,8 @@ class LSTM:
         :class:`LSTMStepCache` allocation — this is what the batched
         beam-search decoder calls once per timestep for all live beams at
         once (a ``(K, H)`` state matrix instead of K batch-1 calls).
-        Computes through the (possibly quantized) inference replicas, which
-        are the training weights themselves when no quantization is active.
         """
-        h, c, _, _, _, _ = self._gates(
-            x,
-            h_prev,
-            c_prev,
-            weight_x=self.weight_x.infer_value,
-            weight_h=self.weight_h.infer_value,
-            bias=self.bias.infer_value,
-        )
+        h, c, _, _, _, _ = self._gates(x, h_prev, c_prev)
         return h, c
 
     def forward_infer(
@@ -192,22 +172,16 @@ class LSTM:
         """Run the full sequence inference-only: no backward caches.
 
         Same per-step math and mask arithmetic as :meth:`forward` (so the
-        two are bit-identical when no quantization replica is attached) but
-        through ``infer_value`` weights and without building
-        :class:`LSTMStepCache` objects — the encoder's decode-time path.
+        two are bit-identical) but without building :class:`LSTMStepCache`
+        objects — the encoder's decode-time path.
         """
         batch, steps, _ = inputs.shape
-        weight_x = self.weight_x.infer_value
-        weight_h = self.weight_h.infer_value
-        bias = self.bias.infer_value
-        dtype = weight_x.dtype
+        dtype = self.weight_x.value.dtype
         h = np.zeros((batch, self.hidden_dim), dtype=dtype) if h0 is None else h0.copy()
         c = np.zeros((batch, self.hidden_dim), dtype=dtype) if c0 is None else c0.copy()
         outputs = np.zeros((batch, steps, self.hidden_dim), dtype=dtype)
         for t in range(steps):
-            h_new, c_new, _, _, _, _ = self._gates(
-                inputs[:, t, :], h, c, weight_x=weight_x, weight_h=weight_h, bias=bias
-            )
+            h_new, c_new, _, _, _, _ = self._gates(inputs[:, t, :], h, c)
             if mask is not None:
                 keep = mask[:, t][:, None]
                 h = keep * h_new + (1.0 - keep) * h

@@ -72,10 +72,11 @@ from repro.errors import (
     CheckpointFormatError,
     CheckpointIntegrityError,
     CheckpointVersionError,
+    ModelConfigError,
     PoolError,
     VocabularyError,
 )
-from repro.nlg.cache import DEFAULT_CACHE_SIZE, make_key
+from repro.nlg.cache import DEFAULT_CACHE_SIZE, make_key, normalize_precision
 from repro.nlg.neural_lantern import NeuralLantern
 from repro.obs.tracing import default_tracer
 from repro.nlg.seq2seq import QEP2Seq, Seq2SeqConfig
@@ -100,25 +101,14 @@ WEIGHT_LAYOUTS = (LAYOUT_NPZ, LAYOUT_MMAP)
 #: friendly, and trivially satisfies numpy's alignment requirements)
 _MMAP_ALIGN = 64
 
+#: the model-config field of legacy checkpoints: "none", "int8" or "float16"
+_LEGACY_MODE_FIELD = "quantize"
+
 KIND_QEP2SEQ = "qep2seq"
 KIND_NEURAL = "neural-lantern"
 KIND_LANTERN = "lantern"
 
 PathLike = Union[str, Path]
-
-
-class _FastInitGenerator:
-    """A stand-in rng for checkpoint reconstruction (see ``QEP2Seq.init_rng``).
-
-    Every parameter of the model under construction is overwritten or
-    mmap-adopted immediately afterwards, so initialization draws are pure
-    waste — this generator returns zero buffers (calloc'd, so the kernel
-    never materializes the pages) instead.
-    """
-
-    @staticmethod
-    def uniform(low, high, size=None):
-        return np.zeros(size if size is not None else ())
 
 
 # ----------------------------------------------------------------------
@@ -600,61 +590,33 @@ def _restore_model(section: dict[str, Any], weights: dict[str, np.ndarray]) -> Q
                     f"manifest declares shape {shape} for {name!r} but the "
                     f"archive holds {list(weights[name].shape)}"
                 )
-    config = _build_config(Seq2SeqConfig, section.get("config"), "model config")
-    # the manifest's config.dtype governs reconstruction: a float32 model
-    # round-trips as float32 (the npz archive preserves array dtypes, and
-    # every restored value below is cast to the model dtype)
-    dtype = np.dtype(getattr(config, "dtype", "float64"))
+    config = _model_config(section.get("config"))
     input_vocabulary = _restore_vocabulary(section.get("input_tokens"), "input")
     output_vocabulary = _restore_vocabulary(section.get("output_tokens"), "output")
-    decoder_table = weights.get("decoder_embedding.table")
-    if decoder_table is None:
+    # the manifest's config.dtype governs reconstruction: from_weights casts
+    # every saved array to it (and adopts mmap views already in it), so a
+    # float32 model round-trips as float32
+    try:
+        return QEP2Seq.from_weights(input_vocabulary, output_vocabulary, config, weights)
+    except ModelConfigError as error:
         raise CheckpointIntegrityError(
-            "the weight archive has no decoder embedding table"
-        )
-    # passing a (dummy) table of the saved width as "pretrained" makes the
-    # constructor adopt it, so models trained with pre-trained embeddings
-    # (whose dimension differs from config.decoder_embedding_dim) rebuild
-    # with correct shapes; every parameter, the table included, is then
-    # overwritten (or mmap-adopted) below — which is also why construction
-    # can skip real rng draws entirely (_FastInitGenerator)
-    # quantization is deferred until the real weights are in place (the
-    # constructor would otherwise quantize the throwaway init values)
-    saved_quantize = getattr(config, "quantize", "none")
-    config.quantize = "none"
-    model = QEP2Seq(
-        input_vocabulary,
-        output_vocabulary,
-        config=config,
-        decoder_pretrained=np.empty(decoder_table.shape, dtype=dtype),
-        init_rng=_FastInitGenerator(),
-    )
-    expected = {parameter.name: parameter for parameter in model.parameters()}
-    if set(expected) != set(weights):
-        missing = sorted(set(expected) - set(weights))
-        unexpected = sorted(set(weights) - set(expected))
-        raise CheckpointIntegrityError(
-            "weight archive does not match the reconstructed model "
-            f"(missing: {missing or 'none'}, unexpected: {unexpected or 'none'})"
-        )
-    for name, parameter in expected.items():
-        saved = weights[name]
-        if saved.shape != parameter.value.shape:
-            raise CheckpointIntegrityError(
-                f"weight {name!r} has shape {saved.shape}, the model expects "
-                f"{parameter.value.shape}"
-            )
-        if not saved.flags.writeable and saved.dtype == dtype:
-            # read-only view straight out of the mapped checkpoint file:
-            # adopt it without copying so the weight pages stay shared
-            parameter.adopt(saved)
-        else:
-            parameter.value[...] = np.asarray(saved, dtype=dtype)
-    if saved_quantize != "none":
-        # re-quantizing the restored master weights is deterministic, so a
-        # quantized model's decodes survive the round trip exactly
-        model.quantize(saved_quantize)
-    return model
+            f"cannot rebuild the model from the checkpoint: {error}"
+        ) from error
+
+
+def _model_config(payload: Any) -> Seq2SeqConfig:
+    """The manifest's model config, reading the legacy precision-mode field.
+
+    Checkpoints written before :meth:`QEP2Seq.astype` replaced the int8 and
+    float16 inference replicas carry :data:`_LEGACY_MODE_FIELD`: ``"none"``
+    simply drops out, and ``"int8"``/``"float16"`` (whose decodes ran on
+    float32 copies of the weights) load as the float32 cast.
+    """
+    if isinstance(payload, dict) and _LEGACY_MODE_FIELD in payload:
+        payload = dict(payload)
+        if payload.pop(_LEGACY_MODE_FIELD) != "none":
+            payload["dtype"] = "float32"
+    return _build_config(Seq2SeqConfig, payload, "model config")
 
 
 def _restore_neural(
@@ -692,7 +654,7 @@ def _restore_neural(
             key = make_key(
                 [str(token) for token in key_tokens],
                 _coerce_int(beam, "beam size"),
-                str(precision),
+                normalize_precision(precision),
             )
             value = [[str(token) for token in tokens] for tokens in candidates]
         except (TypeError, ValueError) as error:

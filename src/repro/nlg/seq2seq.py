@@ -36,12 +36,14 @@ the parity contract is enforced by ``tests/test_nlg_train_turbo.py``: with
 ``float64`` every per-batch loss/accuracy and all parameter gradients match
 the reference to ``allclose(rtol=1e-9)``, and identical-seed training runs
 narrate token-identically.  ``Seq2SeqConfig.dtype`` selects ``float64``
-(default, exact parity) or ``float32`` (~2× memory/bandwidth savings).
+(default, exact parity) or ``float32`` (half the weight bytes; cold decodes
+run ~1.6× faster on sgemm).  :meth:`QEP2Seq.astype` casts a trained model
+to the other dtype.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from typing import Optional
 
@@ -53,7 +55,6 @@ from repro.nlg.nn.layers import Dense, Embedding, Parameter
 from repro.nlg.nn.losses import cross_entropy_from_logits
 from repro.nlg.nn.lstm import LSTM
 from repro.nlg.nn.optimizers import SGD, Adam
-from repro.nlg.nn.quant import infer_replica, validate_quantize_mode
 from repro.nlg.vocab import Vocabulary
 
 
@@ -88,12 +89,20 @@ class Seq2SeqConfig:
     #: parameter/activation memory and bandwidth.  Recorded in checkpoint
     #: manifests so a saved float32 model round-trips as float32.
     dtype: str = "float64"
-    #: "none" (default), "int8" (per-row absmax weight quantization) or
-    #: "float16" — the LANTERN-ZERO reduced-precision *inference* mode.
-    #: Training weights keep ``dtype``; decode computes through float32
-    #: replicas rounded on the selected grid.  Recorded in checkpoint
-    #: manifests so a quantized model round-trips quantized.
-    quantize: str = "none"
+
+
+class _FastInitGenerator:
+    """A stand-in rng for :meth:`QEP2Seq.from_weights` (see ``init_rng``).
+
+    Every parameter of the model under construction is overwritten or
+    mmap-adopted immediately afterwards, so initialization draws are pure
+    waste — this generator returns zero buffers (calloc'd, so the kernel
+    never materializes the pages) instead.
+    """
+
+    @staticmethod
+    def uniform(low, high, size=None):
+        return np.zeros(size if size is not None else ())
 
 
 @dataclass
@@ -149,12 +158,11 @@ class QEP2Seq:
             raise ModelConfigError(
                 f"unsupported dtype {self.config.dtype!r}; expected 'float64' or 'float32'"
             )
-        validate_quantize_mode(self.config.quantize)
         self.dtype = np.dtype(self.config.dtype)
-        # init_rng is the checkpoint loader's fast-boot hook: every parameter
-        # is overwritten (or mmap-adopted) right after construction, so the
-        # loader substitutes a generator whose draws are uninitialized
-        # np.empty buffers instead of paying for real random numbers
+        # init_rng is from_weights' fast-build hook: every parameter is
+        # overwritten (or mmap-adopted) right after construction, so it
+        # substitutes a generator that returns zero buffers instead of
+        # paying for real random numbers
         rng = init_rng if init_rng is not None else np.random.default_rng(self.config.seed)
 
         decoder_dim = self.config.decoder_embedding_dim
@@ -197,8 +205,6 @@ class QEP2Seq:
         # particular — never pay for Adam's moment buffers (3x the weight
         # bytes) or the flat-space parameter copy
         self._optimizer: SGD | Adam | None = None
-        if self.config.quantize != "none":
-            self.quantize(self.config.quantize)
 
     @property
     def optimizer(self) -> SGD | Adam:
@@ -220,36 +226,83 @@ class QEP2Seq:
         return SGD(self.parameters(), learning_rate=self.config.learning_rate)
 
     # ------------------------------------------------------------------
-    # quantized inference (LANTERN-ZERO)
+    # building from weights / precision
     # ------------------------------------------------------------------
 
-    def quantize(self, mode: str) -> None:
-        """Attach reduced-precision inference replicas for ``mode``.
+    @classmethod
+    def from_weights(
+        cls,
+        input_vocabulary: Vocabulary,
+        output_vocabulary: Vocabulary,
+        config: Seq2SeqConfig,
+        weights: dict[str, np.ndarray],
+    ) -> "QEP2Seq":
+        """Build a model of ``config`` whose parameters are ``weights``.
 
-        Idempotent and reversible (:meth:`dequantize`); training weights are
-        untouched, so de/re-quantization is lossless.  Replicas are built
-        deterministically from the current weights, which is also how a
-        checkpoint whose manifest records a quantize mode restores them.
+        The one build-and-fill step behind :meth:`astype` and checkpoint
+        loading.  Every array is cast to ``config.dtype``; a read-only
+        array already in that dtype (an mmap view of a checkpoint file) is
+        adopted without a copy so its pages stay shared.  Raises
+        :class:`~repro.errors.ModelConfigError` when the names or shapes
+        of ``weights`` do not match the model ``config`` describes.
         """
-        validate_quantize_mode(mode)
-        if mode == "none":
-            self.dequantize()
-            return
-        for parameter in self.parameters():
-            parameter.set_infer(infer_replica(parameter.value, mode))
-        self.config.quantize = mode
+        decoder_table = weights.get("decoder_embedding.table")
+        if decoder_table is None:
+            raise ModelConfigError("the weights have no decoder embedding table")
+        dtype = np.dtype(config.dtype)
+        # a (dummy) table of the saved width passed as "pretrained" makes the
+        # constructor adopt its shape, so models trained with pre-trained
+        # embeddings (whose width differs from config.decoder_embedding_dim)
+        # rebuild correctly; every initial value is overwritten below, which
+        # is why construction skips real rng draws (_FastInitGenerator)
+        model = cls(
+            input_vocabulary,
+            output_vocabulary,
+            config=config,
+            decoder_pretrained=np.empty(decoder_table.shape, dtype=dtype),
+            init_rng=_FastInitGenerator(),
+        )
+        expected = {parameter.name: parameter for parameter in model.parameters()}
+        if set(expected) != set(weights):
+            missing = sorted(set(expected) - set(weights))
+            unexpected = sorted(set(weights) - set(expected))
+            raise ModelConfigError(
+                "the weights do not match the model "
+                f"(missing: {missing or 'none'}, unexpected: {unexpected or 'none'})"
+            )
+        for name, parameter in expected.items():
+            value = weights[name]
+            if value.shape != parameter.value.shape:
+                raise ModelConfigError(
+                    f"weight {name!r} has shape {value.shape}, the model expects "
+                    f"{parameter.value.shape}"
+                )
+            if not value.flags.writeable and value.dtype == dtype:
+                parameter.adopt(value)
+            else:
+                parameter.value[...] = value
+        return model
 
-    def dequantize(self) -> None:
-        """Drop inference replicas; decode returns to full-precision weights."""
-        for parameter in self.parameters():
-            parameter.clear_infer()
-        self.config.quantize = "none"
+    def astype(self, dtype: str) -> "QEP2Seq":
+        """A new model with every parameter cast to ``dtype``.
+
+        Same vocabularies, same config apart from ``dtype``; this model is
+        left untouched.  ``astype("float32")`` is the fast inference model:
+        cold decodes run on sgemm at half the weight bytes, and it saves
+        and loads as an ordinary float32 checkpoint.
+        """
+        return QEP2Seq.from_weights(
+            self.input_vocabulary,
+            self.output_vocabulary,
+            replace(self.config, dtype=dtype),
+            {parameter.name: parameter.value for parameter in self.parameters()},
+        )
 
     @property
     def precision(self) -> str:
-        """``"<dtype>:<quantize>"`` — the decode-cache key component that
-        keeps entries from crossing precision boundaries."""
-        return f"{self.config.dtype}:{self.config.quantize}"
+        """The model dtype (``"float64"``/``"float32"``) — the decode-cache
+        key component that keeps entries from crossing precision boundaries."""
+        return self.config.dtype
 
     def weights_memory_info(self) -> dict:
         """Parameter count, resident weight bytes, and whether every
@@ -436,11 +489,6 @@ class QEP2Seq:
 
     def train_batch(self, batch: Batch) -> tuple[float, float]:
         """One teacher-forced SGD update; returns (loss, accuracy)."""
-        if self.config.quantize != "none":
-            raise ModelConfigError(
-                "cannot train while quantized inference replicas are attached; "
-                "call dequantize() first"
-            )
         cache = self._forward(batch)
         loss, grad_logits = cross_entropy_from_logits(
             cache.logits, batch.decoder_targets, batch.decoder_mask
@@ -488,12 +536,6 @@ class QEP2Seq:
     # inference
     # ------------------------------------------------------------------
 
-    @property
-    def _infer_dtype(self) -> np.dtype:
-        """The dtype inference activations compute in — the model dtype
-        normally, float32 when quantized replicas are attached."""
-        return self.encoder.weight_x.infer_value.dtype
-
     def _encode_ids(self, source_tokens: list[str]) -> list[int]:
         """Vocabulary-encode one act signature for inference.
 
@@ -507,7 +549,7 @@ class QEP2Seq:
 
     def _encode_single(self, source_tokens: list[str]):
         ids = np.array([self._encode_ids(source_tokens)], dtype=np.int64)
-        mask = np.ones((1, ids.shape[1]), dtype=self._infer_dtype)
+        mask = np.ones((1, ids.shape[1]), dtype=self.dtype)
         embedded = self.encoder_embedding.lookup(ids)
         outputs, final_h, final_c = self.encoder.forward_infer(embedded, mask=mask)
         return outputs, mask, final_h, final_c
@@ -521,10 +563,10 @@ class QEP2Seq:
         of each act encoded alone.
         """
         ids_list = [self._encode_ids(tokens) for tokens in sources]
-        ids, mask = _pad_and_mask(ids_list, self.input_vocabulary.pad_id, dtype=self._infer_dtype)
+        ids, mask = _pad_and_mask(ids_list, self.input_vocabulary.pad_id, dtype=self.dtype)
         embedded = self.encoder_embedding.lookup(ids)
         outputs, final_h, final_c = self.encoder.forward_infer(embedded, mask=mask)
-        return outputs, self.attention.project_encoder_infer(outputs), mask, final_h, final_c
+        return outputs, self.attention.project_encoder(outputs), mask, final_h, final_c
 
     def greedy_decode(self, source_tokens: list[str]) -> list[str]:
         """Greedy (beam size 1) decoding, mostly used in tests."""
@@ -610,7 +652,7 @@ class QEP2Seq:
                 mask=gathered_mask,
             )
             # sentry: off[hot-path] — one fused [h|context] concat per decode step, amortized over all live beams
-            logits = self.output_layer.forward_infer(np.concatenate([new_h, context], axis=1))
+            logits = self.output_layer.forward(np.concatenate([new_h, context], axis=1))
             maxima = logits.max(axis=1, keepdims=True)
             log_probabilities = logits - (
                 maxima + np.log(np.exp(logits - maxima).sum(axis=1, keepdims=True))
@@ -664,7 +706,7 @@ class QEP2Seq:
         """
         beam_size = beam_size or self.config.beam_size
         encoder_outputs, mask, h, c = self._encode_single(source_tokens)
-        projected_encoder = self.attention.project_encoder_infer(encoder_outputs)
+        projected_encoder = self.attention.project_encoder(encoder_outputs)
         end_id = self.output_vocabulary.end_id
         beams: list[tuple[float, list[int], np.ndarray, np.ndarray, bool]] = [
             (0.0, [self.output_vocabulary.bos_id], h, c, False)
@@ -680,7 +722,7 @@ class QEP2Seq:
                 context = self.attention.step_context(
                     new_h, encoder_outputs, projected_encoder, mask=mask
                 )
-                logits = self.output_layer.forward_infer(np.concatenate([new_h, context], axis=1))[0]
+                logits = self.output_layer.forward(np.concatenate([new_h, context], axis=1))[0]
                 log_probabilities = logits - _log_sum_exp(logits)
                 top = np.argsort(log_probabilities)[-beam_size:]
                 for token_id in top:

@@ -38,6 +38,7 @@ from typing import Any, Optional
 
 from repro.core.lantern import Lantern
 from repro.errors import FleetError
+from repro.nlg.cache import make_key, normalize_precision
 from repro.service.server import DEFAULT_HOST, LanternService, ServiceConfig
 
 __all__ = [
@@ -93,7 +94,7 @@ def import_cache_payload(
         for entry in entries:
             try:
                 (tokens, beam, precision), candidates = entry
-                key = (tuple(tokens), int(beam), str(precision))
+                key = make_key(tokens, int(beam), normalize_precision(precision))
                 cache.put(key, [tuple(c) for c in candidates])
                 imported += 1
             except (TypeError, ValueError):

@@ -42,6 +42,10 @@ SOCKET_TIMEOUT_S = 10.0
 _HUNG_UP = (BrokenPipeError, ConnectionResetError, TimeoutError)
 
 
+class _ClientGone(Exception):
+    """The client reset its connection mid-body: there is no one to answer."""
+
+
 class HTTPError(ServiceError):
     """Carries an HTTP status + JSON body from app code to the kernel."""
 
@@ -100,6 +104,15 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         pass  # telemetry replaces access logs; stderr stays quiet
 
+    def handle_one_request(self) -> None:
+        # a client that resets the connection — while the server waits for
+        # its next request line, or mid-body — gets no answer, no telemetry
+        # record and no traceback: the connection just closes
+        try:
+            super().handle_one_request()
+        except (ConnectionError, _ClientGone):
+            self.close_connection = True
+
     # -- wire ------------------------------------------------------------
 
     def _send(self, status: int, payload: bytes, content_type: str) -> None:
@@ -143,6 +156,8 @@ class _Handler(BaseHTTPRequestHandler):
             )
         try:
             raw = self.rfile.read(length)
+        except ConnectionError as error:
+            raise _ClientGone from error
         except TimeoutError as error:
             self.close_connection = True
             raise HTTPError(
@@ -170,13 +185,20 @@ class _Handler(BaseHTTPRequestHandler):
         if path == "/narrate":
             self._post_narrate(started)
             return
-        endpoint = path
+        # the raw path becomes a telemetry label only once the body was read
+        # and the app did not disown the path, so unserved paths (bad body
+        # or not) cannot grow the label set
+        endpoint = "other"
         try:
-            result = self.app.extra_post(path, self._read_body(required=False))
+            body = self._read_body(required=False)
+            endpoint = path
+            result = self.app.extra_post(path, body)
             if result is None:
                 endpoint = "other"
                 result = 404, {"error": "not_found", "message": self.path}
             status, payload = result
+        except _ClientGone:
+            raise
         except Exception as error:  # noqa: BLE001 - mapped to a status
             status, payload = _error_response(error)
         self._send_json(status, payload)
@@ -203,6 +225,9 @@ class _Handler(BaseHTTPRequestHandler):
                 mode = telemetry_tags.get("mode")
                 if root:
                     payload["trace_id"] = root.trace_id
+            except _ClientGone:
+                root.tag(error="client_reset")
+                raise
             except Exception as error:  # noqa: BLE001 - mapped to a status
                 status, payload = _error_response(error)
                 if isinstance(error, HTTPError):

@@ -146,16 +146,6 @@ class TestParityPair:
         )
         assert tested.findings == []
 
-    def test_quant_mode_without_agreement_test_fires(self, tmp_path):
-        files = {
-            "nlg/nn/quant.py": """
-                QUANTIZE_MODES = ("none", "int8", "int4")
-            """
-        }
-        tests = {"test_q.py": "# quantize agreement covers int8 only\n"}
-        report = run_rules(tmp_path, files, ["parity-pair"], tests=tests)
-        assert {f.symbol for f in report.findings} == {"quant-mode:int4"}
-
 
 # ---------------------------------------------------------------------------
 # hot-path

@@ -53,7 +53,7 @@ class TestCompiledCacheUnit:
         assert cache.lookup(make_key(["scan", "<T>", "x"], 2)) is None
         # beam / precision mismatches miss instead of serving foreign decodes
         assert cache.lookup(make_key(["scan", "<T>"], 3)) is None
-        assert cache.lookup(make_key(["scan", "<T>"], 2, "float64:int8")) is None
+        assert cache.lookup(make_key(["scan", "<T>"], 2, "float32")) is None
         assert make_key(["join", "<T>", "<TN>"], 2) in cache
 
     def test_lookup_returns_shared_read_only_snapshot(self):
@@ -66,15 +66,15 @@ class TestCompiledCacheUnit:
         assert cache.lookup(key) == [["read", "<T>", "rows"], ["scan", "<T>"]]
 
     def test_file_round_trip(self, tmp_path):
-        cache = CompiledCache(ENTRIES, beam_size=2, precision="float64:int8")
+        cache = CompiledCache(ENTRIES, beam_size=2, precision="float32")
         path = tmp_path / "compiled.json"
         cache.save(path)
         loaded = CompiledCache.load(path)
         assert loaded.beam_size == 2
-        assert loaded.precision == "float64:int8"
+        assert loaded.precision == "float32"
         assert len(loaded) == len(cache)
         for tokens, candidates in ENTRIES:
-            key = make_key(tokens, 2, "float64:int8")
+            key = make_key(tokens, 2, "float32")
             assert loaded.lookup(key) == cache.lookup(key)
 
     @pytest.mark.parametrize(
@@ -191,15 +191,11 @@ class TestCompilePlans:
         trees = [facade.plan_for_sql(dblp_db, SQLS[0])]
         compiled = compile_plans(facade, trees)
         served = Lantern(
-            neural=NeuralLantern(trained_neural.model, beam_size=2),
+            neural=NeuralLantern(trained_neural.model.astype("float32"), beam_size=2),
             config=LanternConfig(seed=None),
         )
         served.neural.decode_cache.mount_compiled(compiled)
-        trained_neural.model.quantize("int8")
-        try:
-            narration = served.describe_plan(trees[0], mode="neural")
-        finally:
-            trained_neural.model.dequantize()
+        narration = served.describe_plan(trees[0], mode="neural")
         assert narration.text
         assert served.neural.decode_cache.compiled_hits == 0  # wrong precision
         assert served.neural.decode_cache.misses > 0
@@ -285,3 +281,52 @@ class TestLegacyCacheEntries:
         assert key == make_key(source, 2, loaded.model.precision)
         # and the entry is actually served
         assert loaded.decode_cache.get(key) is not None
+
+    def test_compiled_file_with_legacy_precision_tag(self, tmp_path):
+        """A compiled-cache file written while precision tags read
+        ``"<dtype>:none"`` still serves the model of that dtype."""
+        path = tmp_path / "legacy.json"
+        CompiledCache(ENTRIES, beam_size=2).save(path)
+        payload = json.loads(path.read_text())
+        payload["precision"] = "float64:none"
+        path.write_text(json.dumps(payload))
+
+        loaded = CompiledCache.load(path)
+        assert loaded.precision == "float64"
+        assert loaded.lookup(make_key(["scan", "<T>"], 2, "float64")) is not None
+
+    def test_checkpoint_entries_with_legacy_precision_tag(self, trained_neural, tmp_path):
+        """A checkpoint's warm cache written with ``"<dtype>:none"`` tags
+        restores under the plain dtype tag and is served."""
+        neural = NeuralLantern(trained_neural.model, beam_size=2)
+        source = trained_neural.dataset.samples[0].source_tokens
+        neural._ranked_candidates(source, 2)
+        target = neural.save(tmp_path / "legacy")
+
+        from repro.nlg.persistence import MANIFEST_FILE
+
+        manifest = json.loads((target / MANIFEST_FILE).read_text())
+        for entry in manifest["neural"]["cache"]["entries"]:
+            entry[2] = "float64:none"
+        (target / MANIFEST_FILE).write_text(json.dumps(manifest))
+
+        loaded = NeuralLantern.load(target)
+        [(key, _)] = loaded.decode_cache.export_entries()
+        assert key == make_key(source, 2, "float64")
+        assert loaded.decode_cache.get(key) is not None
+
+    def test_admin_cache_import_with_legacy_precision_tag(self, trained_neural):
+        """A ``POST /admin/cache`` snapshot from a worker that tagged its
+        entries ``"<dtype>:none"`` imports under the plain dtype tag."""
+        from repro.service.fleet.worker import WorkerService, import_cache_payload
+        from repro.service.server import ServiceConfig
+
+        neural = NeuralLantern(trained_neural.model, beam_size=2)
+        service = WorkerService(
+            Lantern(neural=neural, config=LanternConfig(seed=None)),
+            config=ServiceConfig(port=0),
+        )
+        snapshot = {"entries": [[[["scan", "<T>"], 2, "float64:none"], [["read", "<T>"]]]]}
+        assert import_cache_payload(service, snapshot)["imported"] == 1
+        [(key, _)] = neural.decode_cache.export_entries()
+        assert key == make_key(["scan", "<T>"], 2, "float64")

@@ -5,8 +5,8 @@ kernel (:mod:`repro.service.http`), so every case runs against both: an
 in-process ``LanternService`` on an ephemeral port and a one-worker
 ``LanternFleet``.  Each case pins one defect: malformed framing must get a
 structured 4xx (never a 500, never silence), a stalled client must not pin
-a handler thread, and a client that hangs up early must not spray
-tracebacks on stderr.
+a handler thread, and a client that hangs up or resets early must not
+spray tracebacks on stderr.
 """
 
 from __future__ import annotations
@@ -60,6 +60,15 @@ def _requests_to(app, endpoint: str) -> int:
     return app.telemetry.snapshot()["requests"]["by_endpoint"].get(endpoint, 0)
 
 
+def _responses_with(app, status: int) -> int:
+    return app.telemetry.snapshot()["requests"]["by_status"].get(str(status), 0)
+
+
+def _reset(sock: socket.socket) -> None:
+    """Make the coming ``close()`` send a RST instead of a FIN."""
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+
+
 def test_non_numeric_content_length_is_a_400(door):
     _, host, port = door
     status, payload = _post(host, port, "/narrate", b"{}", content_length="twelve")
@@ -75,18 +84,29 @@ def test_deeply_nested_json_is_a_400(door):
 
 
 def test_unknown_post_path_with_a_bad_body_gets_a_4xx(door):
-    _, host, port = door
+    """An unserved POST path with a bad body gets a 400, recorded under the
+    one label ``other`` so arbitrary paths cannot grow the label set."""
+    app, host, port = door
+    before = _requests_to(app, "other")
     for content_length, body in (("twelve", b"{}"), (None, b"{not json")):
         status, payload = _post(host, port, "/elsewhere", body, content_length)
         assert 400 <= status < 500, payload
         assert payload["error"] == "bad_request"
+    # the server records a request just after answering it
+    deadline = time.monotonic() + 3.0
+    while _requests_to(app, "other") < before + 2 and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert _requests_to(app, "other") == before + 2
+    assert "/elsewhere" not in app.telemetry.snapshot()["requests"]["by_endpoint"]
 
 
 def test_client_hanging_up_early_leaves_no_traceback(door, capfd):
     """The client leaves mid-body, once with a FIN (the server answers 400
-    into a closed socket) and once with a RST (the answer's write fails)."""
+    into a closed socket) and once with a RST (nobody is left to answer:
+    no response, no request recorded, and never a 500)."""
     app, host, port = door
     before = _requests_to(app, "/narrate")
+    errors_before = _responses_with(app, 500)
     head = (
         f"POST /narrate HTTP/1.1\r\nHost: {host}\r\n"
         "Content-Type: application/json\r\nContent-Length: 100\r\n\r\n"
@@ -96,10 +116,29 @@ def test_client_hanging_up_early_leaves_no_traceback(door, capfd):
             sock.sendall(head.encode("ascii") + b'{"plan": ')
             time.sleep(0.5)  # the server is now blocked reading the body
             if reset:
-                sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+                _reset(sock)
     deadline = time.monotonic() + 3.0
-    while _requests_to(app, "/narrate") < before + 2 and time.monotonic() < deadline:
+    while _requests_to(app, "/narrate") < before + 1 and time.monotonic() < deadline:
         time.sleep(0.02)
+    time.sleep(0.3)  # the reset reaches its handler at once; give it time to misbehave
+    assert _requests_to(app, "/narrate") == before + 1
+    assert _responses_with(app, 500) == errors_before
+    err = capfd.readouterr().err
+    assert "Traceback" not in err, err
+
+
+def test_client_reset_between_requests_closes_quietly(door, capfd):
+    """A client that resets a kept-alive connection while the server waits
+    for its next request line leaves no traceback behind."""
+    _, host, port = door
+    with socket.create_connection((host, port), timeout=5) as sock:
+        sock.sendall(f"GET /healthz HTTP/1.1\r\nHost: {host}\r\n\r\n".encode("ascii"))
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        response.read()
+        response.close()
+        _reset(sock)
+    time.sleep(0.5)  # the server's wait for the next request line ends in the reset
     err = capfd.readouterr().err
     assert "Traceback" not in err, err
 

@@ -376,6 +376,42 @@ class TestFloat32Checkpoints:
         assert json.loads(completed.stdout.strip().splitlines()[-1]) == expected
 
 
+class TestLegacyManifests:
+    """Checkpoints written while int8/float16 inference replicas existed
+    carry a ``"quantize"`` field in the model config."""
+
+    @staticmethod
+    def _legacy_checkpoint(trained_neural, tmp_path, mode):
+        target = save_qep2seq(trained_neural.model, tmp_path / mode)
+        manifest = json.loads((target / MANIFEST_FILE).read_text())
+        manifest["model"]["config"]["quantize"] = mode
+        (target / MANIFEST_FILE).write_text(json.dumps(manifest))
+        return target
+
+    def test_none_mode_loads_token_identically(self, trained_neural, tmp_path):
+        model = trained_neural.model
+        loaded = load_qep2seq(self._legacy_checkpoint(trained_neural, tmp_path, "none"))
+        assert loaded.config == model.config
+        assert loaded.precision == "float64"
+        sources = [s.source_tokens for s in trained_neural.dataset.samples[:8]]
+        assert loaded.beam_decode_batch(sources, beam_size=2) == model.beam_decode_batch(
+            sources, beam_size=2
+        )
+
+    @pytest.mark.parametrize("mode", ["int8", "float16"])
+    def test_reduced_modes_load_as_the_float32_cast(self, trained_neural, tmp_path, mode):
+        cast = trained_neural.model.astype("float32")
+        loaded = load_qep2seq(self._legacy_checkpoint(trained_neural, tmp_path, mode))
+        assert loaded.config == cast.config
+        originals = {p.name: p.value for p in cast.parameters()}
+        for parameter in loaded.parameters():
+            np.testing.assert_array_equal(parameter.value, originals[parameter.name])
+        sources = [s.source_tokens for s in trained_neural.dataset.samples[:8]]
+        assert loaded.beam_decode_batch(sources, beam_size=2) == cast.beam_decode_batch(
+            sources, beam_size=2
+        )
+
+
 class TestTrainCLI:
     def test_parity_sample_requires_lantern_kind(self, tmp_path, capsys):
         """A bare NeuralLantern checkpoint cannot reproduce facade-level

@@ -1,22 +1,27 @@
-"""LANTERN-ZERO quantized inference: the parity contract and its edge cases.
+"""Float32 inference casts: the parity contract and its edge cases.
 
-Quantization is an opt-in *inference* optimization: int8 (per-row absmax)
-or float16 replicas are attached next to the float64 master weights, the
-decode cache keys on the precision tag, and training is refused until the
-replicas are dropped.  The load-bearing contract (ISSUE 6): against the
-float64 reference on the dblp workload, top-1 token agreement >= 0.98 and
-corpus-BLEU delta <= 0.5 points — reduced precision may change wording
-only within that envelope (on the test model it changes nothing at all).
+``QEP2Seq.astype("float32")`` builds an ordinary float32 model from a
+trained float64 one — same vocabularies, every parameter cast, the source
+model untouched — and the decode cache keys on the model dtype.  The
+load-bearing contract: against the float64 reference on the dblp workload,
+top-1 token agreement >= 0.98 and corpus-BLEU delta <= 0.5 points — the
+float32 cast may change wording only within that envelope.
+
+Checkpoints written while int8/float16 inference replicas existed carry
+``"quantize": "int8"`` or ``"float16"`` in their model config; they load as
+the float32 cast, so the contract tests run over both legacy modes.
 """
+
+import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.errors import ModelConfigError
 from repro.nlg.metrics import corpus_bleu
-from repro.nlg.nn.quant import infer_replica, quantize_int8_rowwise, validate_quantize_mode
+from repro.nlg.persistence import MANIFEST_FILE, load_qep2seq, save_qep2seq
 
-#: the ISSUE 6 acceptance thresholds
+#: the parity-contract thresholds
 MIN_TOKEN_AGREEMENT = 0.98
 MAX_BLEU_DELTA_POINTS = 0.5
 
@@ -30,6 +35,27 @@ def parity_samples(trained_neural):
     return samples
 
 
+@pytest.fixture(scope="module")
+def cast(trained_neural):
+    """The float32 cast of the session's trained float64 model."""
+    return trained_neural.model.astype("float32")
+
+
+def _legacy_cast(trained_neural, cast, directory, mode):
+    """Load a hand-edited legacy ``quantize=<mode>`` checkpoint of the
+    trained model, checking it is exactly the float32 cast."""
+    target = save_qep2seq(trained_neural.model, directory / mode)
+    manifest = json.loads((target / MANIFEST_FILE).read_text())
+    manifest["model"]["config"]["quantize"] = mode
+    (target / MANIFEST_FILE).write_text(json.dumps(manifest))
+    loaded = load_qep2seq(target)
+    assert loaded.config == cast.config
+    originals = {p.name: p.value for p in cast.parameters()}
+    for parameter in loaded.parameters():
+        np.testing.assert_array_equal(parameter.value, originals[parameter.name])
+    return loaded
+
+
 def _token_agreement(reference: list[list[str]], candidate: list[list[str]]) -> float:
     agreeing = total = 0
     for ref, cand in zip(reference, candidate):
@@ -39,142 +65,79 @@ def _token_agreement(reference: list[list[str]], candidate: list[list[str]]) -> 
     return agreeing / total if total else 1.0
 
 
-class TestQuantPrimitives:
-    def test_validate_quantize_mode(self):
-        for mode in ("none", "int8", "float16"):
-            validate_quantize_mode(mode)
-        with pytest.raises(ModelConfigError, match="quantize"):
-            validate_quantize_mode("int4")
-
-    def test_int8_rowwise_reconstruction_error_bounded(self):
-        rng = np.random.default_rng(5)
-        value = rng.normal(scale=0.4, size=(37, 53))
-        codes, scales = quantize_int8_rowwise(value)
-        assert codes.dtype == np.int8
-        replica = codes.astype(np.float32) * scales.astype(np.float32)
-        # per-row absmax grid: error is at most half a quantization step
-        steps = np.abs(value).max(axis=1, keepdims=True) / 127.0
-        assert np.all(np.abs(replica - value) <= steps * 0.5 + 1e-7)
-
-    def test_int8_zero_row_does_not_divide_by_zero(self):
-        value = np.zeros((3, 8))
-        value[1] = np.linspace(-1, 1, 8)
-        codes, scales = quantize_int8_rowwise(value)
-        assert np.all(np.isfinite(scales))
-        assert np.all(codes[0] == 0) and np.all(codes[2] == 0)
-
-    def test_replica_dtypes(self):
-        value = np.random.default_rng(0).normal(size=(4, 6))
-        assert infer_replica(value, "float16").dtype == np.float32  # f16 grid, f32 math
-        assert infer_replica(value, "int8").dtype == np.float32
-        assert infer_replica(value[0], "int8").dtype == np.float32  # 1-D stays plain
-        with pytest.raises(ModelConfigError):
-            infer_replica(value, "none")
-
-
-class TestParityContract:
-    @pytest.mark.parametrize("mode", ["int8", "float16"])
-    def test_token_agreement_and_bleu_delta(self, trained_neural, parity_samples, mode):
+class TestCast:
+    def test_cast_is_an_ordinary_float32_model(self, trained_neural, cast):
         model = trained_neural.model
-        sources = [s.source_tokens for s in parity_samples]
-        references = [s.target_tokens for s in parity_samples]
-        baseline = model.beam_decode_batch(sources, beam_size=2)
-        model.quantize(mode)
-        try:
-            assert model.precision == f"float64:{mode}"
-            quantized = model.beam_decode_batch(sources, beam_size=2)
-        finally:
-            model.dequantize()
-        assert model.precision == "float64:none"
+        assert cast is not model
+        assert cast.config == replace(model.config, dtype="float32")
+        assert cast.precision == "float32"
+        assert cast.input_vocabulary.tokens == model.input_vocabulary.tokens
+        assert cast.output_vocabulary.tokens == model.output_vocabulary.tokens
+        originals = {p.name: p.value for p in model.parameters()}
+        assert [p.name for p in cast.parameters()] == list(originals)
+        for parameter in cast.parameters():
+            assert parameter.value.dtype == np.float32
+            np.testing.assert_array_equal(
+                parameter.value, originals[parameter.name].astype(np.float32)
+            )
+        assert cast.weights_memory_info()["bytes"] * 2 == model.weights_memory_info()["bytes"]
 
-        agreement = _token_agreement(
-            [c[0] for c in baseline], [c[0] for c in quantized]
-        )
-        assert agreement >= MIN_TOKEN_AGREEMENT
-        bleu_full = corpus_bleu([c[0] for c in baseline], references)
-        bleu_quant = corpus_bleu([c[0] for c in quantized], references)
-        assert abs(bleu_full - bleu_quant) <= MAX_BLEU_DELTA_POINTS
-
-    def test_batched_matches_sequential_under_int8(self, trained_neural, parity_samples):
-        """The fused-beam parity guarantee must also hold on the reduced
-        grid — including how beam ties resolve (both paths rank with the
-        same stable sort over the same float32 scores)."""
-        model = trained_neural.model
-        sources = [s.source_tokens for s in parity_samples[:20]]
-        model.quantize("int8")
-        try:
-            batched = model.beam_decode_batch(sources, beam_size=2)
-            sequential = [
-                model.beam_decode_candidates_sequential(source, beam_size=2)
-                for source in sources
-            ]
-            assert batched == sequential
-            # decoding is deterministic: re-running yields the exact ranking
-            assert model.beam_decode_batch(sources, beam_size=2) == batched
-        finally:
-            model.dequantize()
-
-    def test_dequantize_restores_exact_float64_path(self, trained_neural, parity_samples):
-        model = trained_neural.model
-        sources = [s.source_tokens for s in parity_samples[:10]]
-        baseline = model.beam_decode_batch(sources, beam_size=2)
-        model.quantize("int8")
-        model.quantize("float16")  # re-quantizing switches replicas in place
-        model.dequantize()
-        assert model.beam_decode_batch(sources, beam_size=2) == baseline
-        assert all(p.infer_value is p.value for p in model.parameters())
-
-
-class TestQuantizedLifecycle:
-    def test_training_refused_while_quantized(self, trained_neural):
-        model = trained_neural.model
+    def test_cast_model_trains(self, trained_neural):
+        """A cast is an ordinary model: it trains like any float32 model."""
+        model = trained_neural.model.astype("float32")
         samples = trained_neural.dataset.train_samples[:4]
         batch = model.make_batch(
             [s.source_tokens for s in samples], [s.target_tokens for s in samples]
         )
-        model.quantize("int8")
-        try:
-            with pytest.raises(ModelConfigError, match="dequantize"):
-                model.train_batch(batch)
-        finally:
-            model.dequantize()
-        # and after dequantizing, the training forward works again
-        # (evaluate_batch shares train_batch's forward without mutating the
-        # session-scoped fixture's weights)
-        loss, accuracy = model.evaluate_batch(batch)
+        loss, accuracy = model.train_batch(batch)
         assert np.isfinite(loss) and 0.0 <= accuracy <= 1.0
+        assert all(p.value.dtype == np.float32 for p in model.parameters())
 
-    def test_quantized_checkpoint_round_trip(self, trained_neural, tmp_path):
-        """A quantized model saves its ORIGINAL weights plus the quantize
-        mode; loading re-quantizes deterministically, so decodes match."""
-        import json
 
-        from repro.nlg.persistence import MANIFEST_FILE, load_qep2seq, save_qep2seq
+class TestParityContract:
+    @pytest.mark.parametrize("mode", ["int8", "float16"])
+    def test_token_agreement_and_bleu_delta(
+        self, trained_neural, cast, parity_samples, tmp_path, mode
+    ):
+        model = _legacy_cast(trained_neural, cast, tmp_path, mode)
+        sources = [s.source_tokens for s in parity_samples]
+        references = [s.target_tokens for s in parity_samples]
+        baseline = trained_neural.model.beam_decode_batch(sources, beam_size=2)
+        candidates = model.beam_decode_batch(sources, beam_size=2)
 
+        agreement = _token_agreement([c[0] for c in baseline], [c[0] for c in candidates])
+        assert agreement >= MIN_TOKEN_AGREEMENT
+        bleu_full = corpus_bleu([c[0] for c in baseline], references)
+        bleu_cast = corpus_bleu([c[0] for c in candidates], references)
+        assert abs(bleu_full - bleu_cast) <= MAX_BLEU_DELTA_POINTS
+
+    def test_batched_matches_sequential_under_float32(self, cast, parity_samples):
+        """The fused-beam parity guarantee must also hold in float32 —
+        including how beam ties resolve (both paths rank with the same
+        stable sort over the same float32 scores)."""
+        sources = [s.source_tokens for s in parity_samples[:20]]
+        batched = cast.beam_decode_batch(sources, beam_size=2)
+        sequential = [
+            cast.beam_decode_candidates_sequential(source, beam_size=2) for source in sources
+        ]
+        assert batched == sequential
+        # decoding is deterministic: re-running yields the exact ranking
+        assert cast.beam_decode_batch(sources, beam_size=2) == batched
+
+    def test_astype_leaves_the_float64_path_exact(self, trained_neural, parity_samples):
         model = trained_neural.model
-        sources = [s.source_tokens for s in trained_neural.dataset.samples[:6]]
-        model.quantize("int8")
-        try:
-            expected = model.beam_decode_batch(sources, beam_size=2)
-            target = save_qep2seq(model, tmp_path / "int8")
-        finally:
-            model.dequantize()
+        sources = [s.source_tokens for s in parity_samples[:10]]
+        baseline = model.beam_decode_batch(sources, beam_size=2)
+        model.astype("float32").astype("float64")
+        assert model.config.dtype == "float64"
+        assert all(p.value.dtype == np.float64 for p in model.parameters())
+        assert model.beam_decode_batch(sources, beam_size=2) == baseline
 
-        manifest = json.loads((target / MANIFEST_FILE).read_text())
-        assert manifest["model"]["config"]["quantize"] == "int8"
 
-        loaded = load_qep2seq(target)
-        assert loaded.config.quantize == "int8"
-        assert loaded.precision == "float64:int8"
-        assert loaded.beam_decode_batch(sources, beam_size=2) == expected
-        # the master weights survived at full precision
-        originals = {p.name: p.value for p in model.parameters()}
-        for parameter in loaded.parameters():
-            np.testing.assert_array_equal(parameter.value, originals[parameter.name])
-
-    def test_decode_cache_keys_on_precision(self, trained_neural):
-        """Toggling quantization must never serve candidates decoded under
-        the other numeric grid (satellite 1: dtype+quantize in the key)."""
+class TestQuantizedLifecycle:
+    def test_decode_cache_keys_on_precision(self, trained_neural, cast):
+        """A float32 cast must never serve candidates decoded in float64
+        (the dtype is part of the key), even through a shared cache."""
         from repro.nlg.cache import make_key
         from repro.nlg.neural_lantern import NeuralLantern
 
@@ -182,63 +145,66 @@ class TestQuantizedLifecycle:
         source = trained_neural.dataset.samples[0].source_tokens
         neural._ranked_candidates(source, 2)
         [full_key] = [key for key, _ in neural.decode_cache.export_entries()]
-        assert full_key == make_key(source, 2, "float64:none")
+        assert full_key == make_key(source, 2, "float64")
 
-        neural.model.quantize("int8")
-        try:
-            neural._ranked_candidates(source, 2)
-            keys = {key for key, _ in neural.decode_cache.export_entries()}
-        finally:
-            neural.model.dequantize()
-        assert make_key(source, 2, "float64:int8") in keys
+        neural.model = cast
+        neural._ranked_candidates(source, 2)
+        keys = {key for key, _ in neural.decode_cache.export_entries()}
+        assert make_key(source, 2, "float32") in keys
         assert len(keys) == 2  # distinct entries per precision
+
+    def test_quantized_checkpoint_round_trip(self, trained_neural, cast, tmp_path):
+        """A float32 cast saves as an ordinary float32 npz checkpoint — no
+        float64 master, no precision-mode field — and loads back decoding
+        exactly like the cast it was saved from."""
+        sources = [s.source_tokens for s in trained_neural.dataset.samples[:6]]
+        expected = cast.beam_decode_batch(sources, beam_size=2)
+        target = save_qep2seq(cast, tmp_path / "f32")
+
+        config = json.loads((target / MANIFEST_FILE).read_text())["model"]["config"]
+        assert config["dtype"] == "float32"
+        assert "quantize" not in config
+
+        loaded = load_qep2seq(target)
+        assert loaded.config == cast.config
+        assert loaded.precision == "float32"
+        originals = {p.name: p.value for p in cast.parameters()}
+        for parameter in loaded.parameters():
+            assert parameter.value.dtype == np.float32
+            np.testing.assert_array_equal(parameter.value, originals[parameter.name])
+        assert loaded.beam_decode_batch(sources, beam_size=2) == expected
 
 
 class TestQuantizedEdgeCases:
     @pytest.mark.parametrize("mode", ["int8", "float16"])
-    def test_oov_tokens_decode(self, trained_neural, mode):
-        model = trained_neural.model
+    def test_oov_tokens_decode(self, trained_neural, cast, tmp_path, mode):
+        model = _legacy_cast(trained_neural, cast, tmp_path, mode)
         oov = ["positronic", "flux", "capacitor", "scan"]
-        model.quantize(mode)
-        try:
-            batched = model.beam_decode_batch([oov], beam_size=2)
-            sequential = model.beam_decode_candidates_sequential(oov, beam_size=2)
-        finally:
-            model.dequantize()
+        batched = model.beam_decode_batch([oov], beam_size=2)
+        sequential = model.beam_decode_candidates_sequential(oov, beam_size=2)
         assert batched[0] == sequential
         assert all(candidate for candidate in sequential)
 
     @pytest.mark.parametrize("source", [[], ["  "], ["", " "]])
-    def test_empty_and_whitespace_acts(self, trained_neural, source):
+    def test_empty_and_whitespace_acts(self, trained_neural, cast, source):
         """Degenerate act serializations must decode (as pure-UNK input),
-        not crash — quantized or not, batched or not."""
-        model = trained_neural.model
-        plain = model.beam_decode_candidates(source, beam_size=2)
+        not crash — float64 or float32, batched or not."""
+        plain = trained_neural.model.beam_decode_candidates(source, beam_size=2)
         assert plain and all(plain)
-        model.quantize("int8")
-        try:
-            quantized = model.beam_decode_batch([source], beam_size=2)[0]
-            assert quantized == model.beam_decode_candidates_sequential(source, beam_size=2)
-        finally:
-            model.dequantize()
-        assert quantized and all(quantized)
+        candidates = cast.beam_decode_batch([source], beam_size=2)[0]
+        assert candidates == cast.beam_decode_candidates_sequential(source, beam_size=2)
+        assert candidates and all(candidates)
 
-    def test_generation_through_facade_while_quantized(self, trained_neural, dblp_db):
-        """End to end: a quantized NeuralLantern narrates real plans with
-        non-empty, tag-restored text."""
+    def test_generation_through_facade_under_float32(self, cast, dblp_db):
+        """End to end: a NeuralLantern over the float32 cast narrates real
+        plans with non-empty, tag-restored text."""
         from repro.core import Lantern, LanternConfig
         from repro.nlg.neural_lantern import NeuralLantern
 
         lantern = Lantern(
-            neural=NeuralLantern(trained_neural.model, beam_size=2),
-            config=LanternConfig(seed=None),
+            neural=NeuralLantern(cast, beam_size=2), config=LanternConfig(seed=None)
         )
         sql = "SELECT count(*) FROM publication p WHERE p.year > 2005"
-        tree = lantern.plan_for_sql(dblp_db, sql)
-        trained_neural.model.quantize("int8")
-        try:
-            narration = lantern.describe_plan(tree, mode="neural")
-        finally:
-            trained_neural.model.dequantize()
+        narration = lantern.describe_plan(lantern.plan_for_sql(dblp_db, sql), mode="neural")
         assert narration.text.strip().endswith(".")
         assert "<" not in narration.text  # all tags restored or filled

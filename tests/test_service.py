@@ -291,10 +291,12 @@ class _BlockingLantern:
 
     def __init__(self) -> None:
         self.release = threading.Event()
+        self.entered = threading.Event()
         self.calls = 0
 
     def describe_plans(self, trees, mode, collect_errors=True):
         self.calls += 1
+        self.entered.set()
         assert self.release.wait(timeout=30)
         return [Narration(steps=[]) for _ in trees]
 
@@ -311,7 +313,11 @@ class TestAdmissionControl:
                 threading.Thread(target=lambda: batcher.submit(object()), daemon=True)
                 for _ in range(3)
             ]
-            for submitter in submitters:
+            # the worker must hold the first request before the other two
+            # arrive, or all three race for the two queue slots
+            submitters[0].start()
+            assert lantern.entered.wait(timeout=5)
+            for submitter in submitters[1:]:
                 submitter.start()
             deadline = time.monotonic() + 5
             # worker holds one request; two more fill the bounded queue
